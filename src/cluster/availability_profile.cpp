@@ -1,5 +1,7 @@
 #include "cluster/availability_profile.hpp"
 
+#include <algorithm>
+
 #include "sim/check.hpp"
 
 namespace gridfed::cluster {
@@ -7,13 +9,20 @@ namespace gridfed::cluster {
 AvailabilityProfile::AvailabilityProfile(std::uint32_t capacity)
     : capacity_(capacity) {
   GF_EXPECTS(capacity > 0);
-  steps_.emplace(0.0, capacity);
+  steps_.push_back(Step{0.0, capacity});
+}
+
+std::size_t AvailabilityProfile::first_after(sim::SimTime t) const {
+  const auto it = std::upper_bound(
+      steps_.begin(), steps_.end(), t,
+      [](sim::SimTime value, const Step& step) { return value < step.time; });
+  return static_cast<std::size_t>(it - steps_.begin());
 }
 
 std::uint32_t AvailabilityProfile::available_at(sim::SimTime t) const {
-  auto it = steps_.upper_bound(t);
-  if (it == steps_.begin()) return capacity_;  // before recorded history
-  return std::prev(it)->second;
+  const std::size_t i = first_after(t);
+  if (i == 0) return capacity_;  // before recorded history
+  return steps_[i - 1].available;
 }
 
 sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
@@ -25,32 +34,31 @@ sim::SimTime AvailabilityProfile::earliest_start(sim::SimTime not_before,
   sim::SimTime candidate = not_before;
   // Walk the steps; whenever a step inside the candidate window dips below
   // `procs`, restart the window just after that step.
-  auto it = steps_.upper_bound(candidate);
-  if (it != steps_.begin()) --it;  // step in force at `candidate`
-  while (it != steps_.end()) {
-    const sim::SimTime seg_start = std::max(it->first, candidate);
+  std::size_t i = first_after(candidate);
+  if (i != 0) --i;  // step in force at `candidate`
+  const std::size_t n = steps_.size();
+  for (; i < n; ++i) {
+    const sim::SimTime seg_start = std::max(steps_[i].time, candidate);
     if (seg_start >= candidate + duration) break;  // window fully verified
-    if (it->second < procs) {
+    if (steps_[i].available < procs) {
       // Window fails here; candidate moves past this segment.
-      auto next = std::next(it);
-      GF_ENSURES(next != steps_.end());  // last segment has full capacity
-      candidate = next->first;
-      it = next;
-      continue;
+      GF_ENSURES(i + 1 < n);  // last segment has full capacity
+      candidate = steps_[i + 1].time;
     }
-    ++it;
   }
   return candidate;
 }
 
-std::map<sim::SimTime, std::uint32_t>::iterator
-AvailabilityProfile::ensure_boundary(sim::SimTime t) {
-  auto it = steps_.lower_bound(t);
-  if (it != steps_.end() && it->first == t) return it;
+std::size_t AvailabilityProfile::ensure_boundary(sim::SimTime t) {
+  const auto it = std::lower_bound(
+      steps_.begin(), steps_.end(), t,
+      [](const Step& step, sim::SimTime value) { return step.time < value; });
+  const auto i = static_cast<std::size_t>(it - steps_.begin());
+  if (i < steps_.size() && steps_[i].time == t) return i;
   // Value in force just before t.
-  const std::uint32_t value =
-      (it == steps_.begin()) ? capacity_ : std::prev(it)->second;
-  return steps_.emplace_hint(it, t, value);
+  const std::uint32_t value = (i == 0) ? capacity_ : steps_[i - 1].available;
+  steps_.insert(it, Step{t, value});
+  return i;
 }
 
 void AvailabilityProfile::reserve(sim::SimTime start, sim::SimTime end,
@@ -59,11 +67,12 @@ void AvailabilityProfile::reserve(sim::SimTime start, sim::SimTime end,
   GF_EXPECTS(start <= end);
   if (start == end) return;  // zero-length reservation is a no-op
 
-  auto first = ensure_boundary(start);
-  ensure_boundary(end);
-  for (auto it = first; it != steps_.end() && it->first < end; ++it) {
-    GF_EXPECTS(it->second >= procs);  // caller must have verified the window
-    it->second -= procs;
+  const std::size_t first = ensure_boundary(start);
+  ensure_boundary(end);  // lies after `first`, so that index stays valid
+  for (std::size_t i = first; i < steps_.size() && steps_[i].time < end;
+       ++i) {
+    GF_EXPECTS(steps_[i].available >= procs);  // caller verified the window
+    steps_[i].available -= procs;
   }
 }
 
@@ -73,31 +82,33 @@ void AvailabilityProfile::release(sim::SimTime start, sim::SimTime end,
   GF_EXPECTS(start <= end);
   if (start == end) return;
 
-  auto first = ensure_boundary(start);
+  const std::size_t first = ensure_boundary(start);
   ensure_boundary(end);
-  for (auto it = first; it != steps_.end() && it->first < end; ++it) {
-    GF_EXPECTS(it->second + procs <= capacity_);  // must match a reserve
-    it->second += procs;
+  for (std::size_t i = first; i < steps_.size() && steps_[i].time < end;
+       ++i) {
+    GF_EXPECTS(steps_[i].available + procs <= capacity_);  // match a reserve
+    steps_[i].available += procs;
   }
 }
 
 void AvailabilityProfile::trim(sim::SimTime now) {
-  auto it = steps_.upper_bound(now);
-  if (it == steps_.begin()) return;
-  --it;  // step in force at `now`
-  if (it == steps_.begin()) return;
+  std::size_t i = first_after(now);
+  if (i == 0) return;
+  --i;  // step in force at `now`
+  if (i == 0) return;
   // Re-anchor the in-force step at `now` and drop everything earlier.
-  const std::uint32_t value = it->second;
-  steps_.erase(steps_.begin(), std::next(it));
-  steps_.emplace(now, value);
+  steps_[i].time = now;
+  steps_.erase(steps_.begin(),
+               steps_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 bool AvailabilityProfile::valid() const {
   if (steps_.empty()) return false;
-  for (const auto& [t, avail] : steps_) {
-    if (avail > capacity_) return false;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    if (steps_[i].available > capacity_) return false;
+    if (i > 0 && !(steps_[i - 1].time < steps_[i].time)) return false;
   }
-  return steps_.rbegin()->second == capacity_;
+  return steps_.back().available == capacity_;
 }
 
 }  // namespace gridfed::cluster

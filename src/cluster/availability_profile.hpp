@@ -5,9 +5,16 @@
 // reservations made so far.  This is the mechanism behind the paper's
 // admission-control negotiation: a remote GFA can be given an exact FCFS
 // completion-time guarantee.
+//
+// Every provider prices every auctioned job against its profile, so
+// earliest_start() is the market's innermost loop.  The steps live in one
+// sorted contiguous vector: the in-force step is a binary search and the
+// window walk reads adjacent memory.  A profile holds O(pending
+// reservations) steps (trim() drops history), so the vector inserts and
+// erases stay short.
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -16,6 +23,7 @@ namespace gridfed::cluster {
 /// Step function: available processors over future time, under reservation.
 ///
 /// Invariants (checked by `valid()` and the property tests):
+///  * step times are strictly increasing;
 ///  * every step value is in [0, capacity];
 ///  * the final step (extending to +infinity) has value == capacity
 ///    (all reservations are finite).
@@ -61,15 +69,22 @@ class AvailabilityProfile {
   [[nodiscard]] bool valid() const;
 
  private:
-  // Ensures a step boundary exists exactly at time t (splitting the
-  // enclosing segment); returns the iterator to it.
-  std::map<sim::SimTime, std::uint32_t>::iterator ensure_boundary(
-      sim::SimTime t);
+  /// Processors available from `time` until the next step's time.
+  struct Step {
+    sim::SimTime time;
+    std::uint32_t available;
+  };
+
+  /// Index of the first step whose time is > t (steps_.size() if none).
+  [[nodiscard]] std::size_t first_after(sim::SimTime t) const;
+
+  /// Ensures a step boundary exists exactly at time t (splitting the
+  /// enclosing segment); returns its index.
+  std::size_t ensure_boundary(sim::SimTime t);
 
   std::uint32_t capacity_;
-  // time -> processors available from that time until the next entry.
-  // Always non-empty; the last entry extends to +infinity.
-  std::map<sim::SimTime, std::uint32_t> steps_;
+  // Sorted by time.  Always non-empty; the last step extends to +infinity.
+  std::vector<Step> steps_;
 };
 
 }  // namespace gridfed::cluster

@@ -684,7 +684,9 @@ sim::Rng& Federation::duplicate_rng(cluster::ResourceIndex from) {
 
 void Federation::post_delivery(Message msg, sim::SimTime delay) {
   if (!parallel_active()) {
-    transport::TransportContext::post_delivery(std::move(msg), delay);
+    const std::uint32_t slot = delivery_slots_.park(std::move(msg));
+    sim_.schedule_in(delay, sim::EventPriority::kMessage,
+                     [this, slot] { deliver(delivery_slots_.take(slot)); });
     return;
   }
   const int lane = sim::ParallelEngine::current_lane();

@@ -26,6 +26,7 @@
 #include "core/config.hpp"
 #include "core/gfa.hpp"
 #include "core/message.hpp"
+#include "core/message_slots.hpp"
 #include "core/outcome.hpp"
 #include "core/result.hpp"
 #include "directory/federation_directory.hpp"
@@ -140,6 +141,11 @@ class Federation final : public GfaHost,
   }
   [[nodiscard]] const MessageLedger& ledger() const noexcept {
     return ledger_;
+  }
+  /// Messages in flight on the sequential delivery path (tests check
+  /// that every delivery, lost, duplicated or not, frees its slot).
+  [[nodiscard]] const MessageSlots& delivery_slots() const noexcept {
+    return delivery_slots_;
   }
   /// The delivery substrate this run was wired with (tests inspect the
   /// tree topology through it).
@@ -341,6 +347,9 @@ class Federation final : public GfaHost,
   std::vector<JobOutcome> outcomes_;
   stats::AuctionStats auction_stats_;
   std::vector<double> util_at_window_;
+  /// Sequential in-flight deliveries; each delivery event captures only
+  /// {this, slot}, so it schedules without a heap box.
+  MessageSlots delivery_slots_;
   sim::Rng drop_rng_;
   sim::Rng dup_rng_;
   /// Relaxed atomic: a pure total, bumped from concurrent shard lanes.

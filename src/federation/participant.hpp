@@ -24,6 +24,7 @@
 // must go through ParticipantRegistry::representative(), which is
 // exactly where the group-addressing decision lives.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -65,6 +66,15 @@ struct ParticipantId {
     return static_cast<cluster::ResourceIndex>(value);
   }
 };
+
+/// Dense array index of `id`: singletons and coalitions interleave
+/// (cluster c -> 2c, coalition kCoalitionBase + k -> 2k + 1), so one
+/// vector sized by the largest id in use indexes both kinds in O(1).
+[[nodiscard]] constexpr std::size_t dense_index(ParticipantId id) noexcept {
+  return id.value < kCoalitionBase
+             ? 2 * static_cast<std::size_t>(id.value)
+             : 2 * static_cast<std::size_t>(id.value - kCoalitionBase) + 1;
+}
 
 /// Sentinel mirroring cluster::kNoResource (and equal to its singleton,
 /// so a defaulted "no cluster" flows through unchanged).

@@ -10,44 +10,51 @@ AuctionBook::AuctionBook(cluster::JobId job,
                          std::vector<federation::ParticipantId> solicited)
     : job_(job),
       solicited_(std::move(solicited)),
-      answered_(solicited_.size(), false),
       outstanding_(solicited_.size()) {
+  index_solicited();
   bids_.reserve(solicited_.size());
 }
 
 void AuctionBook::reopen(cluster::JobId job,
                          std::span<const federation::ParticipantId> solicited) {
+  for (const federation::ParticipantId pid : solicited_) {
+    flags_[federation::dense_index(pid)] = 0;
+  }
   job_ = job;
   solicited_.assign(solicited.begin(), solicited.end());
-  answered_.assign(solicited_.size(), false);
   outstanding_ = solicited_.size();
   pruned_ = 0;
+  index_solicited();
   bids_.clear();
   bids_.reserve(solicited_.size());
 }
 
-bool AuctionBook::add(const Bid& bid) {
-  for (std::size_t i = 0; i < solicited_.size(); ++i) {
-    if (solicited_[i] != bid.bidder) continue;
-    if (answered_[i]) return false;  // duplicate
-    answered_[i] = true;
-    --outstanding_;
-    bids_.push_back(bid);
-    return true;
+void AuctionBook::index_solicited() {
+  for (const federation::ParticipantId pid : solicited_) {
+    GF_EXPECTS(pid != federation::kNoParticipant);
+    const std::size_t key = federation::dense_index(pid);
+    if (key >= flags_.size()) flags_.resize(key + 1, 0);
+    flags_[key] = kSolicited;
   }
-  return false;  // unsolicited
+}
+
+bool AuctionBook::answer(federation::ParticipantId bidder) {
+  if (flags_of(bidder) != kSolicited) return false;  // unsolicited/duplicate
+  flags_[federation::dense_index(bidder)] = kSolicited | kAnswered;
+  --outstanding_;
+  return true;
+}
+
+bool AuctionBook::add(const Bid& bid) {
+  if (!answer(bid.bidder)) return false;
+  bids_.push_back(bid);
+  return true;
 }
 
 bool AuctionBook::add_pruned(federation::ParticipantId bidder) {
-  for (std::size_t i = 0; i < solicited_.size(); ++i) {
-    if (solicited_[i] != bidder) continue;
-    if (answered_[i]) return false;  // duplicate (re-delivered tombstone)
-    answered_[i] = true;
-    --outstanding_;
-    ++pruned_;
-    return true;
-  }
-  return false;  // unsolicited
+  if (!answer(bidder)) return false;  // also a re-delivered tombstone
+  ++pruned_;
+  return true;
 }
 
 std::vector<Award> AuctionEngine::clear(const cluster::Job& job,

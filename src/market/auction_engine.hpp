@@ -31,6 +31,7 @@
 // the runner-up — whose payment must already be consistent with the rule.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,6 +48,12 @@ namespace gridfed::market {
 /// Books are designed to be pooled (see book_pool.hpp): reopen() rewinds
 /// a cleared book for the next job while keeping every internal vector's
 /// capacity, so back-to-back auctions of the same shape allocate nothing.
+///
+/// Every provider's answer lands here, so add() finds the bidder's slot
+/// in O(1): one flag byte per participant, indexed by
+/// federation::dense_index, instead of a scan of the solicited list.
+/// reopen() clears the previous solicited set's flags before marking the
+/// new one, so a bidder from an earlier book never finds a stale slot.
 class AuctionBook {
  public:
   /// An unopened book (pool storage); reopen() before use.
@@ -75,6 +82,11 @@ class AuctionBook {
   /// in add()).
   bool add_pruned(federation::ParticipantId bidder);
 
+  /// True when `participant` was solicited for this book.
+  [[nodiscard]] bool solicits(federation::ParticipantId participant) const {
+    return (flags_of(participant) & kSolicited) != 0;
+  }
+
   /// True when every solicited bidder has answered.
   [[nodiscard]] bool complete() const noexcept { return outstanding_ == 0; }
 
@@ -96,9 +108,24 @@ class AuctionBook {
   }
 
  private:
+  static constexpr std::uint8_t kSolicited = 1;
+  static constexpr std::uint8_t kAnswered = 2;
+
+  /// `participant`'s flags (0 for an id beyond the index).
+  [[nodiscard]] std::uint8_t flags_of(
+      federation::ParticipantId participant) const noexcept {
+    const std::size_t key = federation::dense_index(participant);
+    return key < flags_.size() ? flags_[key] : 0;
+  }
+  /// Marks every solicited_ entry kSolicited.
+  void index_solicited();
+  /// Enters `bidder`'s answer: true when it consumed an open slot.
+  bool answer(federation::ParticipantId bidder);
+
   cluster::JobId job_ = 0;
   std::vector<federation::ParticipantId> solicited_;
-  std::vector<bool> answered_;  // parallel to solicited_
+  /// kSolicited | kAnswered by dense_index(participant).
+  std::vector<std::uint8_t> flags_;
   std::size_t outstanding_ = 0;
   std::size_t pruned_ = 0;
   std::vector<Bid> bids_;

@@ -108,10 +108,10 @@ void AuctionPolicy::open_auction(core::Pending p) {
   bool own_group_enters = false;
   for (const directory::Quote& quote : scratch_quotes_) {
     const federation::ParticipantId pid = participant_of(quote.resource);
-    if (std::find(scratch_entrants_.begin(), scratch_entrants_.end(), pid) !=
-        scratch_entrants_.end()) {
-      continue;  // this coalition already holds a book slot
-    }
+    const std::size_t key = federation::dense_index(pid);
+    if (key >= entrant_seen_.size()) entrant_seen_.resize(key + 1);
+    if (entrant_seen_[key]) continue;  // coalition already holds a slot
+    entrant_seen_[key] = true;
     scratch_entrants_.push_back(pid);
     const cluster::ResourceIndex rep = representative_of(pid);
     if (rep == ctx_.self()) {
@@ -119,6 +119,9 @@ void AuctionPolicy::open_auction(core::Pending p) {
     } else {
       scratch_targets_.push_back(rep);
     }
+  }
+  for (const federation::ParticipantId pid : scratch_entrants_) {
+    entrant_seen_[federation::dense_index(pid)] = false;
   }
   const std::size_t n_remote = scratch_targets_.size();
   if (origin_enters) scratch_entrants_.push_back(ctx_.self());
@@ -230,11 +233,13 @@ void AuctionPolicy::flush_solicitations() {
       // were answered locally at open time.
       const cluster::ResourceIndex r = representative_of(pid);
       if (r == ctx_.self()) continue;
-      const auto pos = std::find(scratch_providers_.begin(),
-                                 scratch_providers_.end(), r);
-      const auto bucket =
-          static_cast<std::size_t>(pos - scratch_providers_.begin());
-      if (pos == scratch_providers_.end()) {
+      if (r >= provider_bucket_.size()) {
+        provider_bucket_.resize(r + 1, kNoBucket);
+      }
+      std::uint32_t bucket = provider_bucket_[r];
+      if (bucket == kNoBucket) {
+        bucket = static_cast<std::uint32_t>(scratch_providers_.size());
+        provider_bucket_[r] = bucket;
         scratch_providers_.push_back(r);
         if (scratch_buckets_.size() < scratch_providers_.size()) {
           scratch_buckets_.emplace_back();
@@ -242,6 +247,9 @@ void AuctionPolicy::flush_solicitations() {
       }
       scratch_buckets_[bucket].push_back(&it->second.pending.job);
     }
+  }
+  for (const cluster::ResourceIndex r : scratch_providers_) {
+    provider_bucket_[r] = kNoBucket;
   }
   GF_OBS(ctx_.observer(),
          instant(ctx_.now(), obs::SpanKind::kSolicitFlush, ctx_.self(), 0,
@@ -324,10 +332,7 @@ bool AuctionPolicy::flush_solicits(
   for (const cluster::JobId id : solicit_queue_) {
     const auto it = auctions_.find(id);
     if (it == auctions_.end()) continue;  // cleared while queued
-    const auto& list = it->second.book.solicited_list();
-    if (std::find(list.begin(), list.end(), participant) != list.end()) {
-      return true;
-    }
+    if (it->second.book.solicits(participant)) return true;
   }
   return false;
 }
@@ -561,11 +566,14 @@ market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
   bid.bidder = ctx_.self();
   if (job.processors > own.processors) return bid;  // infeasible
   const sim::SimTime ttl = cfg.auction.bid_cache_ttl;
-  const double quantum = cfg.auction.bid_cache_quantum;
-  const BidCacheKey key{job.origin, job.processors,
-                        market::shape_bucket(job.length_mi, quantum),
-                        market::shape_bucket(job.comm_overhead, quantum)};
+  // The key's log-scale buckets cost two log1p calls: built only when the
+  // cache is on.
+  BidCacheKey key;
   if (ttl > 0.0) {
+    const double quantum = cfg.auction.bid_cache_quantum;
+    key = BidCacheKey{job.origin, job.processors,
+                      market::shape_bucket(job.length_mi, quantum),
+                      market::shape_bucket(job.comm_overhead, quantum)};
     ++counters_.bid_cache_lookups;
     const auto it = bid_cache_.find(key);
     if (it != bid_cache_.end() && ctx_.now() - it->second.stamp <= ttl) {

@@ -184,6 +184,9 @@ class AuctionPolicy final : public SchedulingPolicy {
   std::vector<directory::Quote> scratch_quotes_;
   /// Participants entering the book (wire-solicited and local entrants).
   std::vector<federation::ParticipantId> scratch_entrants_;
+  /// open_auction's O(1) dedupe marks, by federation::dense_index of the
+  /// participant; all false between calls.
+  std::vector<bool> entrant_seen_;
   /// Wire targets of the solicitation: one representative per remote
   /// participant, cheapest-first order (group-addressed dissemination —
   /// a coalition is reached through its representative only).
@@ -192,6 +195,10 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Per-provider job buckets built by flush_solicitations; parallel to
   /// scratch_providers_, capacity retained across flushes.
   std::vector<std::vector<const cluster::Job*>> scratch_buckets_;
+  /// Position of each provider in scratch_providers_ during a flush, by
+  /// cluster index; kNoBucket between flushes.
+  static constexpr std::uint32_t kNoBucket = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> provider_bucket_;
 
   /// Provider-side pricing cache (bid_cache_ttl > 0).
   std::unordered_map<BidCacheKey, BidCacheEntry, BidCacheKeyHash> bid_cache_;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "cluster/availability_profile.hpp"
@@ -171,6 +176,207 @@ TEST(AvailabilityProfileProperty, EarliestStartIsEarliest) {
     }
     p.reserve(start, start + duration, procs);
   }
+}
+
+
+// ---- differential test against the node-based reference -------------------
+// MapProfile is the former std::map implementation of AvailabilityProfile,
+// kept verbatim in behaviour as the reference model.  The contiguous
+// profile must agree with it exactly — every answer and every step count
+// — under random operation sequences.
+
+class MapProfile {
+ public:
+  explicit MapProfile(std::uint32_t capacity) : capacity_(capacity) {
+    steps_.emplace(0.0, capacity);
+  }
+
+  [[nodiscard]] std::uint32_t available_at(sim::SimTime t) const {
+    auto it = steps_.upper_bound(t);
+    if (it == steps_.begin()) return capacity_;
+    return std::prev(it)->second;
+  }
+
+  [[nodiscard]] sim::SimTime earliest_start(sim::SimTime not_before,
+                                            std::uint32_t procs,
+                                            sim::SimTime duration) const {
+    sim::SimTime candidate = not_before;
+    auto it = steps_.upper_bound(candidate);
+    if (it != steps_.begin()) --it;
+    while (it != steps_.end()) {
+      const sim::SimTime seg_start = std::max(it->first, candidate);
+      if (seg_start >= candidate + duration) break;
+      if (it->second < procs) {
+        auto next = std::next(it);
+        candidate = next->first;
+        it = next;
+        continue;
+      }
+      ++it;
+    }
+    return candidate;
+  }
+
+  void reserve(sim::SimTime start, sim::SimTime end, std::uint32_t procs) {
+    if (start == end) return;
+    auto first = ensure_boundary(start);
+    ensure_boundary(end);
+    for (auto it = first; it != steps_.end() && it->first < end; ++it) {
+      it->second -= procs;
+    }
+  }
+
+  void release(sim::SimTime start, sim::SimTime end, std::uint32_t procs) {
+    if (start == end) return;
+    auto first = ensure_boundary(start);
+    ensure_boundary(end);
+    for (auto it = first; it != steps_.end() && it->first < end; ++it) {
+      it->second += procs;
+    }
+  }
+
+  void trim(sim::SimTime now) {
+    auto it = steps_.upper_bound(now);
+    if (it == steps_.begin()) return;
+    --it;
+    if (it == steps_.begin()) return;
+    const std::uint32_t value = it->second;
+    steps_.erase(steps_.begin(), std::next(it));
+    steps_.emplace(now, value);
+  }
+
+  [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
+  [[nodiscard]] const std::map<sim::SimTime, std::uint32_t>& steps() const {
+    return steps_;
+  }
+
+ private:
+  std::map<sim::SimTime, std::uint32_t>::iterator ensure_boundary(
+      sim::SimTime t) {
+    auto it = steps_.lower_bound(t);
+    if (it != steps_.end() && it->first == t) return it;
+    const std::uint32_t value =
+        (it == steps_.begin()) ? capacity_ : std::prev(it)->second;
+    return steps_.emplace_hint(it, t, value);
+  }
+
+  std::uint32_t capacity_;
+  std::map<sim::SimTime, std::uint32_t> steps_;
+};
+
+/// Both profiles hold the same step function: equal step counts, and
+/// equal values at, between and before every reference step.
+void expect_same_function(const AvailabilityProfile& p, const MapProfile& ref) {
+  ASSERT_TRUE(p.valid());
+  ASSERT_EQ(p.step_count(), ref.step_count());
+  double prev = -1.0;
+  for (const auto& [t, value] : ref.steps()) {
+    ASSERT_EQ(p.available_at(t), value) << "t=" << t;
+    const double mid = 0.5 * (prev + t);
+    ASSERT_EQ(p.available_at(mid), ref.available_at(mid)) << "t=" << mid;
+    prev = t;
+  }
+  ASSERT_EQ(p.available_at(prev + 1.0), ref.available_at(prev + 1.0));
+}
+
+TEST(AvailabilityProfileProperty, MatchesMapReferenceExactly) {
+  sim::Rng rng(0x5eed);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Small capacities make full-capacity jobs and saturated steps common.
+    const auto capacity =
+        static_cast<std::uint32_t>(rng.uniform_int(1, trial < 20 ? 4 : 64));
+    AvailabilityProfile p(capacity);
+    MapProfile ref(capacity);
+    // Reservations not yet started at `now`: the only ones an LRMS may
+    // still cancel.
+    std::vector<std::tuple<double, double, std::uint32_t>> open;
+    double now = 0.0;
+    for (int op = 0; op < 400; ++op) {
+      const auto kind = rng.uniform_int(0, 9);
+      if (kind <= 4) {
+        // earliest_start, then usually reserve the window it found.
+        const auto procs = static_cast<std::uint32_t>(
+            rng.bernoulli(0.25) ? capacity : rng.uniform_int(1, capacity));
+        const double duration =
+            rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 60.0);
+        const double not_before = now + rng.uniform(0.0, 100.0);
+        const double start = p.earliest_start(not_before, procs, duration);
+        ASSERT_EQ(start, ref.earliest_start(not_before, procs, duration));
+        ASSERT_GE(start, not_before);
+        if (kind <= 3) {
+          p.reserve(start, start + duration, procs);
+          ref.reserve(start, start + duration, procs);
+          if (duration > 0.0) open.emplace_back(start, start + duration, procs);
+        }
+      } else if (kind <= 6) {
+        // Cancel a random still-pending reservation.
+        if (open.empty()) continue;
+        const auto i = rng.uniform_int(0, open.size() - 1);
+        const auto [b, e, q] = open[i];
+        p.release(b, e, q);
+        ref.release(b, e, q);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (kind == 7) {
+        // Advance the clock, half the time exactly onto a step boundary.
+        if (!open.empty() && rng.bernoulli(0.5)) {
+          const auto& [b, e, q] =
+              open[rng.uniform_int(0, open.size() - 1)];
+          now = std::max(now, rng.bernoulli(0.5) ? b : e);
+        } else {
+          now += rng.uniform(0.0, 30.0);
+        }
+        p.trim(now);
+        ref.trim(now);
+        std::erase_if(open, [now](const auto& r) {
+          return std::get<0>(r) < now;
+        });
+      } else {
+        // Point queries, including recorded history before `now`.
+        const double t = rng.uniform(0.0, now + 200.0);
+        ASSERT_EQ(p.available_at(t), ref.available_at(t)) << "t=" << t;
+      }
+      ASSERT_TRUE(p.valid()) << "trial " << trial << " op " << op;
+    }
+    expect_same_function(p, ref);
+  }
+}
+
+TEST(AvailabilityProfileProperty, EdgeCasesMatchMapReference) {
+  AvailabilityProfile p(8);
+  MapProfile ref(8);
+  // Zero-duration window on a saturated step: starts immediately.
+  p.reserve(10.0, 20.0, 8);
+  ref.reserve(10.0, 20.0, 8);
+  EXPECT_EQ(p.earliest_start(15.0, 8, 0.0), ref.earliest_start(15.0, 8, 0.0));
+  EXPECT_EQ(p.earliest_start(15.0, 8, 0.0), 15.0);
+  // A zero-length reserve is a no-op in both.
+  p.reserve(12.0, 12.0, 8);
+  ref.reserve(12.0, 12.0, 8);
+  expect_same_function(p, ref);
+  // Full-capacity job right behind a full-capacity reservation.
+  EXPECT_EQ(p.earliest_start(0.0, 8, 10.0), ref.earliest_start(0.0, 8, 10.0));
+  EXPECT_EQ(p.earliest_start(5.0, 8, 10.0), 20.0);
+  // Trim exactly at a step time, then before all history, then again.
+  for (const double t : {10.0, 10.0, 3.0, 20.0}) {
+    p.trim(t);
+    ref.trim(t);
+    expect_same_function(p, ref);
+  }
+  EXPECT_EQ(p.available_at(0.0), ref.available_at(0.0));
+  // A window reaching back before the trimmed history splits off a new
+  // first step whose value before the window is full capacity.
+  p.reserve(30.0, 40.0, 5);
+  ref.reserve(30.0, 40.0, 5);
+  p.trim(35.0);
+  ref.trim(35.0);
+  p.reserve(25.0, 45.0, 2);
+  ref.reserve(25.0, 45.0, 2);
+  expect_same_function(p, ref);
+  EXPECT_EQ(p.available_at(20.0), 8u);
+  EXPECT_EQ(p.available_at(30.0), 6u);
+  p.release(25.0, 45.0, 2);
+  ref.release(25.0, 45.0, 2);
+  expect_same_function(p, ref);
 }
 
 }  // namespace

@@ -661,6 +661,116 @@ TEST(BookPool, ReusesReleasedBooks) {
   EXPECT_FALSE(b.complete());
 }
 
+// ---- AuctionBook slot index --------------------------------------------------
+// add() and add_pruned() find the bidder's slot through a dense index by
+// participant id; these pin the cases where the index could diverge from
+// a scan of the solicited list.
+
+federation::ParticipantId coalition_id(std::uint32_t k) {
+  federation::ParticipantId id;
+  id.value = federation::kCoalitionBase + k;
+  return id;
+}
+
+TEST(AuctionBookIndex, CoalitionAndSingletonIdsShareOneBook) {
+  // Coalition k and cluster k map to neighbouring index entries; neither
+  // may answer for the other.
+  market::AuctionBook book(
+      7, {0u, coalition_id(0), 3u, coalition_id(3)});
+  EXPECT_TRUE(book.solicits(coalition_id(0)));
+  EXPECT_FALSE(book.solicits(coalition_id(1)));
+  EXPECT_FALSE(book.solicits(1u));
+  EXPECT_FALSE(book.add({coalition_id(1), 1.0, 10.0, true}));
+  EXPECT_FALSE(book.add({1u, 1.0, 10.0, true}));
+  EXPECT_TRUE(book.add({coalition_id(3), 1.0, 10.0, true}));
+  EXPECT_TRUE(book.add({3u, 2.0, 20.0, true}));
+  EXPECT_FALSE(book.add({coalition_id(3), 0.5, 5.0, true}));  // duplicate
+  EXPECT_TRUE(book.add({0u, 3.0, 30.0, true}));
+  EXPECT_FALSE(book.complete());
+  EXPECT_TRUE(book.add({coalition_id(0), 4.0, 40.0, true}));
+  EXPECT_TRUE(book.complete());
+  ASSERT_EQ(book.bids().size(), 4u);
+  EXPECT_EQ(book.bids()[0].bidder, coalition_id(3));
+  EXPECT_EQ(book.bids()[3].bidder, coalition_id(0));
+}
+
+TEST(AuctionBookIndex, PrunedTombstonesConsumeTheSlot) {
+  market::AuctionBook book(7, {0u, 1u, coalition_id(2)});
+  EXPECT_TRUE(book.add_pruned(1u));
+  EXPECT_FALSE(book.add_pruned(1u));                // re-delivered tombstone
+  EXPECT_FALSE(book.add({1u, 1.0, 10.0, true}));   // bid after its tombstone
+  EXPECT_TRUE(book.add({0u, 2.0, 20.0, true}));
+  EXPECT_FALSE(book.add_pruned(0u));               // tombstone after the bid
+  EXPECT_FALSE(book.add_pruned(5u));               // unsolicited
+  EXPECT_TRUE(book.add_pruned(coalition_id(2)));
+  EXPECT_TRUE(book.complete());
+  EXPECT_EQ(book.pruned(), 2u);
+  EXPECT_EQ(book.bids().size(), 1u);
+}
+
+TEST(AuctionBookIndex, RedeliveredBidsAreIgnored) {
+  market::AuctionBook book(7, {4u, 2u});
+  for (int copy = 0; copy < 3; ++copy) {
+    EXPECT_EQ(book.add({2u, 1.0 + copy, 10.0, true}), copy == 0);
+  }
+  EXPECT_FALSE(book.complete());
+  EXPECT_TRUE(book.add({4u, 5.0, 50.0, true}));
+  EXPECT_TRUE(book.complete());
+  ASSERT_EQ(book.bids().size(), 2u);
+  EXPECT_DOUBLE_EQ(book.bids()[0].ask, 1.0);  // the first copy stands
+}
+
+TEST(AuctionBookIndex, IdsBeyondTheIndexAreUnsolicited) {
+  market::AuctionBook book(7, {0u, 1u});
+  EXPECT_FALSE(book.solicits(1000u));
+  EXPECT_FALSE(book.add({1000u, 1.0, 10.0, true}));
+  EXPECT_FALSE(book.add_pruned(coalition_id(1000)));
+  EXPECT_FALSE(book.add({federation::kNoParticipant, 1.0, 10.0, true}));
+  EXPECT_TRUE(book.bids().empty());
+  EXPECT_FALSE(book.complete());
+}
+
+TEST(AuctionBookIndex, ReopenWithDisjointSetLeavesNoStaleSlot) {
+  // The first book indexes higher ids than the second, so the stale
+  // entries stay inside the index range after reopen().
+  market::AuctionBook book(
+      7, std::vector<federation::ParticipantId>{5u, 9u, coalition_id(4)});
+  EXPECT_TRUE(book.add({9u, 1.0, 10.0, true}));
+  book.reopen(8, std::vector<federation::ParticipantId>{1u, coalition_id(0)});
+  for (const federation::ParticipantId old : {federation::ParticipantId{5u},
+                                              federation::ParticipantId{9u},
+                                              coalition_id(4)}) {
+    EXPECT_FALSE(book.solicits(old)) << old.value;
+    EXPECT_FALSE(book.add({old, 1.0, 10.0, true})) << old.value;
+    EXPECT_FALSE(book.add_pruned(old)) << old.value;
+  }
+  EXPECT_TRUE(book.add({1u, 2.0, 20.0, true}));
+  EXPECT_TRUE(book.add_pruned(coalition_id(0)));
+  EXPECT_TRUE(book.complete());
+}
+
+TEST(AuctionBookIndex, PooledBookRejectsThePreviousBooksBidders) {
+  market::BookPool pool;
+  auto a = pool.acquire(1, std::vector<federation::ParticipantId>{6u, 7u});
+  EXPECT_TRUE(a.add({6u, 1.0, 10.0, true}));
+  pool.release(std::move(a));
+  auto b = pool.acquire(2, std::vector<federation::ParticipantId>{0u, 2u});
+  ASSERT_EQ(pool.reuses(), 1u);
+  EXPECT_FALSE(b.add({6u, 1.0, 10.0, true}));
+  EXPECT_FALSE(b.add({7u, 1.0, 10.0, true}));
+  EXPECT_TRUE(b.add({0u, 1.0, 10.0, true}));
+  EXPECT_TRUE(b.add({2u, 1.0, 10.0, true}));
+  EXPECT_TRUE(b.complete());
+  EXPECT_EQ(b.bids().size(), 2u);
+  // Re-soliciting the same set answers afresh: no answered flag survives.
+  pool.release(std::move(b));
+  auto c = pool.acquire(3, std::vector<federation::ParticipantId>{0u, 2u});
+  EXPECT_FALSE(c.complete());
+  EXPECT_TRUE(c.add({0u, 1.0, 10.0, true}));
+  EXPECT_TRUE(c.add_pruned(2u));
+  EXPECT_TRUE(c.complete());
+}
+
 TEST(AuctionMode, SameTickSolicitationsCoalescePerProvider) {
   // Two jobs submitted at the same instant at the same origin: batching
   // folds their call-for-bids to each provider into ONE wire message and
