@@ -13,17 +13,6 @@ size, so the CI smoke run may measure only the 50-cluster point.  A
 metric missing from the baseline (an older BENCH_messages.json) is
 skipped, so adding a mode never breaks existing baselines.
 
-When either file carries a "parallel_scaling" section (the sharded
-safe-window kernel sweep, including the 200- and 500-cluster columns),
-it is gated too: outcome digests must match the sequential engine
-unconditionally, and the N-thread column must beat the 1-thread column
-at 50+ clusters — but only when the measuring host reported >= 2 CPUs,
-so a single-core CI runner still gates correctness without failing on
-wall-clock it cannot express.  Points recorded by newer binaries also
-carry "fel_digest_match" — the sequential engine re-run with the ladder
-future-event list must reproduce the heap-path digest bitwise — and
-that pin is gated unconditionally too.
-
 Usage: check_messages.py MEASURED.json CHECKED_IN.json [tolerance_pct]
 """
 
@@ -35,19 +24,7 @@ def points(doc):
     # BENCH_messages.json nests fig10 under "fig10"; a bare fig10 dump
     # is the artifact itself.
     fig10 = doc.get("fig10", doc)
-    if "auction_batching" not in fig10:  # bare parallel_kernel dump
-        return {}
     return {p["size"]: p for p in fig10["auction_batching"]["points"]}
-
-
-def parallel_scaling(doc):
-    # The sharded-kernel sweep: inside the fig10 artifact as
-    # "parallel_scaling", or a standalone bench_parallel_kernel dump
-    # ("artifact": "parallel_kernel").  Returns None when the file
-    # predates the parallel kernel.
-    if doc.get("artifact") == "parallel_kernel":
-        return doc
-    return doc.get("fig10", doc).get("parallel_scaling")
 
 
 METRICS = ("batched_msgs_per_job", "tree_wire_msgs_per_job",
@@ -71,8 +48,7 @@ METRICS = ("batched_msgs_per_job", "tree_wire_msgs_per_job",
 def invariant_failures(measured, tolerance):
     failures = []
     for size, point in sorted(measured.items()):
-        if "tree_bytes_per_job" not in point or \
-           "batched_bytes_per_job" not in point:
+        if "tree_bytes_per_job" not in point:
             continue
         limit = point["batched_bytes_per_job"] * (1.0 + tolerance / 100.0)
         ok = point["tree_bytes_per_job"] <= limit
@@ -84,79 +60,11 @@ def invariant_failures(measured, tolerance):
     return failures
 
 
-# Gates on the sharded-kernel sweep.  Digest equality is unconditional:
-# a parallel run whose outcomes diverge from the sequential engine fails
-# no matter what the clock says.  The speedup floor is hardware-aware —
-# the artifact records the measuring host's CPU count, and the floor
-# (N threads must beat 1 thread at 50+ clusters) only binds when that
-# host could actually run threads in parallel; a 1-CPU container still
-# gates correctness but not wall-clock.  Against the baseline, a >5%
-# (tolerance) speedup regression fails when BOTH files were measured
-# multi-core, including the 200- and 500-cluster columns when present.
-
-
-def parallel_failures(measured, baseline, tolerance):
-    failures = []
-    checks = 0
-    if measured is None:
-        return failures, checks
-    cpus = measured.get("num_cpus", 0)
-    base_points = {}
-    base_cpus = 0
-    if baseline is not None:
-        base_points = {p["size"]: p for p in baseline.get("points", [])}
-        base_cpus = baseline.get("num_cpus", 0)
-    for point in measured.get("points", []):
-        size = point["size"]
-        checks += 1
-        if not point.get("outcomes_match", False):
-            print(f"size {size:>3} parallel outcomes DIVERGED from the "
-                  f"sequential engine  FAIL")
-            failures.append((size, "parallel_outcomes_diverged"))
-            continue
-        # FEL backend pin (newer artifacts only): the sequential engine
-        # re-run with the ladder future-event list forced on must match
-        # the heap-path digest bitwise.  Missing from older files — the
-        # gate, like the metric gates above, never breaks old baselines.
-        if "fel_digest_match" in point:
-            checks += 1
-            if not point["fel_digest_match"]:
-                print(f"size {size:>3} ladder-FEL outcomes DIVERGED from "
-                      f"the heap path  FAIL")
-                failures.append((size, "fel_digest_diverged"))
-                continue
-        speedup = point.get("speedup", 0.0)
-        if cpus >= 2 and size >= 50:
-            checks += 1
-            ok = speedup >= 1.0
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x >= 1.00x"
-                  f" ({cpus} CPUs)  {'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures.append((size, "parallel_speedup<1"))
-        elif cpus < 2:
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x "
-                  f"(outcomes match; floor skipped: {cpus} CPU host)")
-        base = base_points.get(size)
-        if base is not None and cpus >= 2 and base_cpus >= 2:
-            checks += 1
-            floor = base.get("speedup", 0.0) * (1.0 - tolerance / 100.0)
-            ok = speedup >= floor
-            print(f"size {size:>3} parallel speedup {speedup:6.2f}x vs "
-                  f"baseline {base.get('speedup', 0.0):6.2f}x "
-                  f"(-{tolerance:.0f}% floor {floor:6.2f}x)  "
-                  f"{'ok' if ok else 'FAIL'}")
-            if not ok:
-                failures.append((size, "parallel_speedup_regressed"))
-    return failures, checks
-
-
 def main():
     if len(sys.argv) < 3:
         sys.exit(__doc__)
-    measured_doc = json.load(open(sys.argv[1]))
-    baseline_doc = json.load(open(sys.argv[2]))
-    measured = points(measured_doc)
-    baseline = points(baseline_doc)
+    measured = points(json.load(open(sys.argv[1])))
+    baseline = points(json.load(open(sys.argv[2])))
     tolerance = float(sys.argv[3]) if len(sys.argv) > 3 else 5.0
 
     failures = []
@@ -179,11 +87,6 @@ def main():
     invariants = invariant_failures(measured, tolerance)
     checked += len(measured)
     failures += invariants
-    par_failures, par_checked = parallel_failures(
-        parallel_scaling(measured_doc), parallel_scaling(baseline_doc),
-        tolerance)
-    checked += par_checked
-    failures += par_failures
     if checked == 0:
         sys.exit("error: no comparable (size, metric) points found")
     if failures:

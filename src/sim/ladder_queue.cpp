@@ -25,7 +25,12 @@ void LadderQueue::refill_bottom() {
       continue;
     }
     Rung& r = rungs_.back();
-    while (r.buckets[r.cur].empty()) ++r.cur;
+    // count > 0 and every key sits at or past the frontier, so a
+    // non-empty bucket lies ahead.
+    while (r.buckets[r.cur].empty()) {
+      ++r.cur;
+      GF_EXPECTS(r.cur < kBucketsPerRung);
+    }
     std::vector<FelKey>& bucket = r.buckets[r.cur];
     scratch_.clear();
     scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
@@ -91,14 +96,7 @@ void LadderQueue::transfer_top() {
   r.width = width;
   r.count = top_.size();
   for (const FelKey k : top_) {
-    const SimTime rel = (fel_time_of(k) - r.start) / r.width;
-    std::size_t idx = kBucketsPerRung - 1;
-    if (rel <= 0.0) {
-      idx = 0;
-    } else if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
-    }
-    r.buckets[idx].push_back(k);
+    r.buckets[bucket_index(r, fel_time_of(k))].push_back(k);
   }
   rungs_.push_back(std::move(r));
   top_.clear();
@@ -111,14 +109,7 @@ void LadderQueue::spawn_rung(SimTime lo, SimTime parent_width) {
   r.width = parent_width / static_cast<SimTime>(kBucketsPerRung);
   r.count = scratch_.size();
   for (const FelKey k : scratch_) {
-    const SimTime rel = (fel_time_of(k) - lo) / r.width;
-    std::size_t idx = kBucketsPerRung - 1;
-    if (rel <= 0.0) {
-      idx = 0;
-    } else if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
-    }
-    r.buckets[idx].push_back(k);
+    r.buckets[bucket_index(r, fel_time_of(k))].push_back(k);
   }
   scratch_.clear();
   rungs_.push_back(std::move(r));
@@ -189,7 +180,8 @@ void LadderQueue::debug_validate() const {
   for (std::size_t i = bottom_head_ + 1; i < bottom_.size(); ++i) {
     GF_ENSURES(!(bottom_[i] < bottom_[i - 1]));  // Bottom sorted ascending
   }
-  for (const Rung& r : rungs_) {
+  for (std::size_t i = 0; i < rungs_.size(); ++i) {
+    const Rung& r = rungs_[i];
     GF_ENSURES(r.width > 0.0);
     GF_ENSURES(r.cur <= kBucketsPerRung);
     std::size_t in_rung = 0;
@@ -198,7 +190,10 @@ void LadderQueue::debug_validate() const {
       in_rung += r.buckets[b].size();
     }
     GF_ENSURES(in_rung == r.count);
-    GF_ENSURES(r.count > 0);  // drained rungs retire eagerly
+    // The finest rung is never empty (drained rungs retire eagerly).  A
+    // coarser one may be: its frontier bucket was the last holding keys
+    // and now lives on as the finer rung above it.
+    GF_ENSURES(r.count > 0 || i + 1 < rungs_.size());
     total += r.count;
   }
   GF_ENSURES(total == size_);

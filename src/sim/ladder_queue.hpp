@@ -63,8 +63,8 @@ class LadderQueue {
   }
 
   /// O(1) (amortized): Top append, a ≤ kMaxRungs rung walk, or a Bottom
-  /// sorted insert (O(1) for the ascending pushes the mailbox drain and
-  /// same-instant reschedules produce; O(|Bottom|) worst case).
+  /// sorted insert (O(1) for the ascending pushes same-instant
+  /// reschedules produce; O(|Bottom|) worst case).
   void push(FelKey key) {
     const SimTime t = fel_time_of(key);
     ++size_;
@@ -76,22 +76,19 @@ class LadderQueue {
       top_.push_back(key);
       return;
     }
-    if (!rungs_.empty()) {
-      if (t >= rung_cur_start(rungs_.back())) {
-        // Finest-to-coarsest walk: the first rung whose remaining span
-        // covers t owns it; the coarsest rung is clamped unbounded so
-        // every key below top_floor_ has a home despite FP edges.
-        for (std::size_t i = rungs_.size(); i-- > 1;) {
-          Rung& r = rungs_[i];
-          if (t < rung_end(r)) {
-            rung_insert(r, key, t);
-            return;
-          }
-        }
-        rung_insert(rungs_.front(), key, t);
+    // Route top-down, binning as the spreads did.  A key in a rung's
+    // frontier-minus-one bucket belongs to the finer rung spawned from
+    // that bucket; an unconsumed bucket owns it; any other consumed
+    // bucket (the finest rung's last one sits in Bottom) means Bottom.
+    for (std::size_t i = 0; i < rungs_.size(); ++i) {
+      Rung& r = rungs_[i];
+      const std::size_t idx = bucket_index(r, t);
+      if (idx >= r.cur) {
+        r.buckets[idx].push_back(key);
+        ++r.count;
         return;
       }
-      // Below the consumption frontier: belongs among Bottom's keys.
+      if (idx + 1 != r.cur) break;
     }
     bottom_insert(key);
   }
@@ -190,23 +187,21 @@ class LadderQueue {
   [[nodiscard]] static SimTime rung_cur_start(const Rung& r) noexcept {
     return r.start + static_cast<SimTime>(r.cur) * r.width;
   }
-  [[nodiscard]] static SimTime rung_end(const Rung& r) noexcept {
-    return r.start + static_cast<SimTime>(kBucketsPerRung) * r.width;
-  }
 
-  void rung_insert(Rung& r, FelKey key, SimTime t) {
-    // floor((t - start) / width) is monotone in t (IEEE subtraction,
-    // division and floor all are), so binning never inverts two keys;
-    // the clamps absorb rounding at the frontier and the top edge.
-    std::size_t idx = kBucketsPerRung - 1;
+  /// The bucket of `r` that time `t` bins to.  floor((t - start) /
+  /// width) is monotone in t (IEEE subtraction, division and floor all
+  /// are), so binning never inverts two keys; the clamps absorb rounding
+  /// at the left edge and the top edge.  The spreads and push() share
+  /// this one formula, so a pushed key lands exactly where it would have
+  /// been spread.
+  [[nodiscard]] static std::size_t bucket_index(const Rung& r,
+                                                SimTime t) noexcept {
     const SimTime rel = (t - r.start) / r.width;
+    if (rel <= 0.0) return 0;
     if (rel < static_cast<SimTime>(kBucketsPerRung)) {
-      idx = static_cast<std::size_t>(rel);
+      return static_cast<std::size_t>(rel);
     }
-    if (idx < r.cur) idx = r.cur;
-    if (idx >= kBucketsPerRung) idx = kBucketsPerRung - 1;
-    r.buckets[idx].push_back(key);
-    ++r.count;
+    return kBucketsPerRung - 1;
   }
 
   void bottom_insert(FelKey key) {
@@ -214,8 +209,8 @@ class LadderQueue {
       bottom_.clear();
       bottom_head_ = 0;
     }
-    // Ascending inserts (the common pattern: mailbox drains arrive
-    // key-sorted, reschedules land at/after the clock) append in O(1).
+    // Ascending inserts (the common pattern: reschedules land at/after
+    // the clock) append in O(1).
     if (bottom_.empty() || !(key < bottom_.back())) {
       bottom_.push_back(key);
       return;

@@ -3,9 +3,10 @@
 // push/pop/erase/update interleavings asserting pop-order and digest
 // equality between the heap, ladder, and hybrid backings against a
 // std::set reference — including equal-key ties, skewed/bursty timestamp
-// distributions, and the zero-width-bucket pathological case — plus the
-// allocation-free steady-state contract (rung/bucket recycling) and the
-// erase-of-minimum next_time() regression.
+// distributions, the zero-width-bucket pathological case, and pushes at
+// the edge of an exhausted rung — plus the allocation-free steady-state
+// contract (rung/bucket recycling) and the erase-of-minimum next_time()
+// regression.
 
 #include <gtest/gtest.h>
 
@@ -316,6 +317,20 @@ TEST(EventQueueFuzz, SkewedTimestamps) {
   // land far out — the distribution that forces deep rung recursion.
   run_backend_fuzz(303, 20000, [](Rng& rng) {
     return std::pow(rng.uniform01(), 8.0) * 4096.0;
+  });
+}
+
+TEST(EventQueueFuzz, FarLatticeTimestamps) {
+  // Integer times with a heavy mass at a fixed far offset: a spread's
+  // last bucket is oversized, so pulling it spawns a child rung and moves
+  // the parent's frontier past its final bucket; pushes at exactly the
+  // spread's max time must then route into the child, not into the
+  // parent's consumed bucket behind its frontier.
+  run_backend_fuzz(505, 20000, [](Rng& rng) -> SimTime {
+    if (rng.uniform01() < 0.4) {
+      return static_cast<double>(rng.uniform_int(0, 2));
+    }
+    return 256.0 - static_cast<double>(rng.uniform_int(0, 1));
   });
 }
 
