@@ -10,6 +10,11 @@
 #   BENCH_metrics.json      — observability metrics time-series of the
 #                             50-cluster auction+tree+coalition observed
 #                             run (epoch-sampled counters + ledger columns)
+#   BENCH_design.json       — src/ module LOC, include fan-out and include
+#                             cycles (bench/check_design.py).  Written only
+#                             when src/ has no include cycle beyond the
+#                             checked-in record: accepting a new cycle is a
+#                             hand edit of that record's "cycles" list.
 #
 # Usage: bench/run_bench.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  defaults to ./build
@@ -20,6 +25,9 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 OUT_DIR="${2:-$REPO_ROOT}"
+
+echo "== design check against $REPO_ROOT/BENCH_design.json"
+python3 "$REPO_ROOT/bench/check_design.py" --check "$REPO_ROOT/BENCH_design.json"
 
 if [[ ! -x "$BUILD_DIR/bench_fig10_msg_per_job_scaling" ]]; then
   echo "error: bench binaries not found in $BUILD_DIR — build first:" >&2
@@ -63,7 +71,11 @@ trap 'rm -rf "$tmpdir"' EXIT
   echo '}'
 } > "$OUT_DIR/BENCH_messages.json"
 
+echo "== design numbers -> $OUT_DIR/BENCH_design.json"
+python3 "$REPO_ROOT/bench/check_design.py" > "$tmpdir/design.json"
+mv "$tmpdir/design.json" "$OUT_DIR/BENCH_design.json"
+
 echo "== summary"
 grep -A7 'Auction mode' "$tmpdir/fig10.txt" | head -10 || true
 echo "done: $OUT_DIR/BENCH_kernel_micro.json $OUT_DIR/BENCH_messages.json" \
-     "$OUT_DIR/BENCH_metrics.json"
+     "$OUT_DIR/BENCH_metrics.json $OUT_DIR/BENCH_design.json"

@@ -33,10 +33,14 @@ Federation::Federation(FederationConfig config,
     wan.emplace(*cfg_.wan, specs_);
   }
   // Lossy enquiries need timeouts to make progress, and the timeout must
-  // outlast an enquiry+reply round trip.  In auction mode over the tree
-  // transport a piggybacked award's enquiry leg rides the call-for-bids
-  // relay path (up to 2 * depth hops to the LCA and back down) before
-  // its reply returns point-to-point, so the bound is hop-aware there.
+  // outlast an enquiry+reply round trip.  Enquiries (kNegotiate, kAward)
+  // and their replies always travel point-to-point, so two hops suffice
+  // on every transport; only kCallForBids and kBid ride the tree.  The
+  // auction-on-tree bound below is therefore conservative: it also
+  // charges a relayed leg (up to 2 * depth hops to the LCA and back
+  // down) plus one fan-out epoch, which no enquiry pays today.  It is
+  // kept as-is so existing configurations stay valid and invalid ones
+  // stay rejected.
   GF_EXPECTS(cfg_.message_drop_rate == 0.0 || cfg_.negotiate_timeout > 0.0);
   const sim::SimTime worst_latency =
       wan ? wan->max_latency() : cfg_.network_latency;
@@ -46,11 +50,6 @@ Federation::Federation(FederationConfig config,
       1u, transport::tree_depth(specs_.size(), cfg_.transport.tree_fanout)));
   const bool auction = cfg_.mode == SchedulingMode::kAuction;
   const double enquiry_hops = auction && tree ? 2.0 * tree_depth + 1.0 : 2.0;
-  // On the tree in auction mode a piggybacked award's enquiry can also
-  // sit out a full fan-out epoch before the relay flushes it, so the
-  // timeout must clear the hold ON TOP of the hop round trip — a
-  // timeout inside the epoch would systematically expire every held
-  // enquiry before it even left the origin.
   const sim::SimTime enquiry_hold =
       auction && tree ? cfg_.transport.tree_epoch : 0.0;
   GF_EXPECTS(cfg_.negotiate_timeout == 0.0 ||
@@ -97,21 +96,11 @@ Federation::Federation(FederationConfig config,
         sample.total_bytes = ledger_.total_bytes();
         sample.relay_msgs = ledger_.relay_total();
         std::uint64_t open = 0;
-        std::uint64_t lookups = 0;
-        std::uint64_t hits = 0;
         for (const auto& agent : gfas_) {
           open += agent->scheduling_policy().open_auctions();
-          const policy::PolicyCounters counters =
-              agent->scheduling_policy().counters();
-          lookups += counters.bid_cache_lookups;
-          hits += counters.bid_cache_hits;
         }
         sample.gauges[static_cast<std::size_t>(obs::Gauge::kOpenBooks)] =
             open;
-        sample.gauges[static_cast<std::size_t>(
-            obs::Gauge::kBidCacheLookups)] = lookups;
-        sample.gauges[static_cast<std::size_t>(obs::Gauge::kBidCacheHits)] =
-            hits;
       });
     }
   }
@@ -312,15 +301,6 @@ FederationResult Federation::run() {
 #endif
   sim_.run();
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
-  // Fold every agent's policy counters in once, so the accessor and the
-  // aggregate see the same totals.
-  for (const auto& agent : gfas_) {
-    const policy::PolicyCounters counters =
-        agent->scheduling_policy().counters();
-    auction_stats_.bid_cache_lookups += counters.bid_cache_lookups;
-    auction_stats_.bid_cache_hits += counters.bid_cache_hits;
-    auction_stats_.awards_piggybacked += counters.awards_piggybacked;
-  }
 #if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
   // ledger columns equal to aggregate()'s FederationResult totals.
@@ -392,14 +372,7 @@ sim::SimTime Federation::member_admit(cluster::ResourceIndex member,
   if (membership_ != nullptr && !membership_->live(member)) {
     return sim::kTimeInfinity;  // a gone member admits nothing
   }
-  const sim::SimTime estimate = gfas_[member]->admit_remote(job);
-  if (estimate != sim::kTimeInfinity) {
-    // The placement just reserved capacity the member's own policy never
-    // saw: drop its cached pricing so the coalition's next joint bid
-    // prices the thicker queue honestly.
-    gfas_[member]->invalidate_provider_cache();
-  }
-  return estimate;
+  return gfas_[member]->admit_remote(job);
 }
 
 // ---- membership::MembershipContext ------------------------------------------

@@ -153,9 +153,9 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   // -- membership churn (driven by the Federation's churn hooks) ----------
   /// Fail-stop: this cluster crashed.  Every job the engine holds in
   /// flight dies with the machine — pending enquiries, open policy state
-  /// (auction books, held awards), placed-and-awaiting jobs, and remote
-  /// holds — and each of OUR origin jobs still produces exactly one
-  /// (rejected) outcome; the run-level outcome accounting depends on it.
+  /// (auction books), placed-and-awaiting jobs, and remote holds — and
+  /// each of OUR origin jobs still produces exactly one (rejected)
+  /// outcome; the run-level outcome accounting depends on it.
   /// Later arrivals from this cluster's users bounce until a rejoin.
   void on_crash();
   /// Graceful departure: in-flight work runs to completion, but new local
@@ -247,7 +247,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   void send_negotiate(Pending p, cluster::ResourceIndex target) override;
   void send_award(Pending p, cluster::ResourceIndex target,
                   double payment) override;
-  void park_award(Pending p, cluster::ResourceIndex target) override;
   void place_in_coalition(Pending p, federation::ParticipantId coalition,
                           double payment) override;
   void reject(Pending p) override;
@@ -260,7 +259,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
                           sim::SimTime not_after) override {
     return host_.multicast(std::move(msg), targets, not_after);
   }
-  void admit_enquiry(const Message& msg) override { admit_and_reply(msg); }
   void auction_report(const market::ClearingReport& report) override {
     host_.auction_report(report);
   }
@@ -270,11 +268,10 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
 
   // -- enquiry seam (DBC negotiate + auction award) -----------------------
   /// Shared enquiry plumbing: parks the job in pending_, sends `type`
-  /// (kNegotiate or kAward) to `target` unless the award already rode a
-  /// piggybacked solicitation (`on_wire` false), and arms the reply
-  /// timeout when the config enables it.  Replies resume in handle_reply.
+  /// (kNegotiate or kAward) to `target`, and arms the reply timeout when
+  /// the config enables it.  Replies resume in handle_reply.
   void park_enquiry(Pending p, cluster::ResourceIndex target,
-                    MessageType type, double price, bool on_wire);
+                    MessageType type, double price);
   /// Fires when no reply arrived in time: abandon the enquiry, hand the
   /// job back to the policy.
   void on_negotiate_timeout(cluster::JobId id, std::uint64_t attempt);
@@ -307,11 +304,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   [[nodiscard]] market::Bid provider_bid(const cluster::Job& job) {
     return policy_->make_bid(job);
   }
-
-  /// Drops the policy's cached pricing after a coalition placement
-  /// reserved capacity here behind the policy's back (see
-  /// SchedulingPolicy::invalidate_bid_cache).
-  void invalidate_provider_cache() { policy_->invalidate_bid_cache(); }
 
  private:
   /// The participant `resource` acts as (its singleton without a

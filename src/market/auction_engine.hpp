@@ -82,11 +82,6 @@ class AuctionBook {
   /// in add()).
   bool add_pruned(federation::ParticipantId bidder);
 
-  /// True when `participant` was solicited for this book.
-  [[nodiscard]] bool solicits(federation::ParticipantId participant) const {
-    return (flags_of(participant) & kSolicited) != 0;
-  }
-
   /// True when every solicited bidder has answered.
   [[nodiscard]] bool complete() const noexcept { return outstanding_ == 0; }
 

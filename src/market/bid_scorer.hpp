@@ -16,7 +16,7 @@
 // harvested from the solicitation that fanned out through it — so the
 // scorer operates on the compact JobQos view instead of the Job.
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -26,17 +26,15 @@
 
 namespace gridfed::market {
 
-/// Log-scale shape bucket: values within ~`quantum` of each other map to
-/// the same bin; quantum <= 0 degenerates to bit-exact matching.  Shared
-/// by the provider-side bid TTL cache (PR 3) and the convergecast delta
-/// encoder, so "same shape" means the same thing on both sides of the
-/// wire.
-[[nodiscard]] inline std::int64_t shape_bucket(double value,
-                                               double quantum) noexcept {
-  if (quantum <= 0.0) {
-    return std::bit_cast<std::int64_t>(value);
-  }
-  return std::llround(std::log1p(std::max(0.0, value)) / quantum);
+/// Relative width of a job-shape bucket: values within ~5% of each other
+/// share a bin.
+inline constexpr double kShapeQuantum = 0.05;
+
+/// Log-scale shape bucket of the convergecast delta encoder: bids for
+/// jobs whose length and comm overhead land in the same bins share a
+/// base quote on a tree edge.
+[[nodiscard]] inline std::int64_t shape_bucket(double value) noexcept {
+  return std::llround(std::log1p(std::max(0.0, value)) / kShapeQuantum);
 }
 
 /// The slice of a job a bid is scored against: the QoS envelope (budget,

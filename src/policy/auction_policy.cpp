@@ -1,35 +1,17 @@
 #include "policy/auction_policy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "coalition/coalition_manager.hpp"
 #include "economy/cost_model.hpp"
 #include "market/bid_pricing.hpp"
-#include "market/bid_scorer.hpp"
 #include "sim/check.hpp"
-#include "sim/hash.hpp"
 
 namespace gridfed::policy {
 
 AuctionPolicy::AuctionPolicy(SchedulerContext& ctx)
     : SchedulingPolicy(ctx), dbc_fallback_(ctx) {}
-
-// The cache's shape buckets are market::shape_bucket — the SAME key the
-// overlay's convergecast delta encoder groups quotes by, so "two jobs
-// share a cached quote" and "two bids share a base quote on the wire"
-// are one definition.
-
-std::size_t AuctionPolicy::BidCacheKeyHash::operator()(
-    const BidCacheKey& key) const noexcept {
-  std::uint64_t h = sim::kFnvOffsetBasis;
-  h = sim::fnv1a_mix(h, key.origin);
-  h = sim::fnv1a_mix(h, key.processors);
-  h = sim::fnv1a_mix(h, key.length_bucket);
-  h = sim::fnv1a_mix(h, key.comm_bucket);
-  return static_cast<std::size_t>(h);
-}
 
 AuctionPolicy::AuctionJobState* AuctionPolicy::state_of(
     const core::Pending& p) {
@@ -259,8 +241,7 @@ void AuctionPolicy::flush_solicitations() {
   // bucket.  With the default full-book solicitation every provider
   // shares one bucket, so the flush writes the job list into the arena
   // ONCE and all 50 provider messages view it — no per-provider Job
-  // copies.  A provider with held awards is carved into its own message
-  // (its payload differs), preserving the per-provider wire order.
+  // copies.
   std::shared_ptr<transport::MessageArena> arena;
   std::size_t i = 0;
   while (i < scratch_providers_.size()) {
@@ -272,44 +253,19 @@ void AuctionPolicy::flush_solicitations() {
     msg.batch_jobs = arena->append(scratch_buckets_[i]);
     msg.arena = arena;
     msg.job = msg.batch_jobs.front();
-    // Awards held for this run's (single) provider ride the flush for
-    // free: their text joins this message and the Pending parks without
-    // a wire message of its own (the reply still counts).
-    for (auto& held : held_awards_) {
-      if (held.dispatched || held.target != scratch_providers_[i]) continue;
-      msg.batch_awards.push_back(
-          core::PiggybackedAward{held.pending.job, held.payment});
-      ++counters_.awards_piggybacked;
-      held.dispatched = true;
-      ctx_.park_award(std::move(held.pending), held.target);
-    }
     // Attribute the run's wire cost to the batch's first job so the
     // per-job counters still sum to the ledger total (on the direct
     // transport; the tree's shared edge messages return 0 and live in
-    // the ledger's relay counters instead).  A run carrying piggybacked
-    // awards must leave NOW: an award is an admission re-check whose
-    // reply timeout is already armed, so the transport gets no room to
-    // hold it back (the epoch hold that is fine for solicitations would
-    // systematically expire awards).
+    // the ledger's relay counters instead).
     const cluster::JobId front_id = msg.job.id;
-    const sim::SimTime run_not_after =
-        msg.batch_awards.empty() ? not_after : ctx_.now();
     const std::uint64_t wire = ctx_.multicast(
         std::move(msg),
         std::span<const cluster::ResourceIndex>(
             scratch_providers_.data() + i, j - i),
-        run_not_after);
+        not_after);
     auctions_.find(front_id)->second.pending.messages += wire;
     i = j;
   }
-  // Held awards whose provider saw no solicitation after all (its
-  // auctions cleared while the award waited) go out standalone: every
-  // hold was taken against THIS flush, so nothing waits beyond it.
-  for (auto& held : held_awards_) {
-    if (held.dispatched) continue;
-    ctx_.send_award(std::move(held.pending), held.target, held.payment);
-  }
-  held_awards_.clear();
   if (acfg.bid_timeout > 0.0) {
     for (const cluster::JobId id : solicit_queue_) {
       if (auctions_.find(id) == auctions_.end()) continue;
@@ -327,37 +283,14 @@ void AuctionPolicy::on_bid_timeout(cluster::JobId id) {
   clear_auction(id);
 }
 
-bool AuctionPolicy::flush_solicits(
-    federation::ParticipantId participant) const {
-  for (const cluster::JobId id : solicit_queue_) {
-    const auto it = auctions_.find(id);
-    if (it == auctions_.end()) continue;  // cleared while queued
-    if (it->second.book.solicits(participant)) return true;
-  }
-  return false;
-}
-
-bool AuctionPolicy::has_held_award(cluster::ResourceIndex provider) const {
-  for (const HeldAward& held : held_awards_) {
-    if (!held.dispatched && held.target == provider) return true;
-  }
-  return false;
-}
-
 std::size_t AuctionPolicy::solicit_run_end(std::size_t i) const {
-  // A provider with held awards gets a message of its own (the award
-  // text joins the payload); otherwise the run extends while the job
-  // buckets stay equal and no award interrupts it.
   std::size_t j = i + 1;
-  if (has_held_award(scratch_providers_[i])) return j;
   while (j < scratch_providers_.size() &&
-         !has_held_award(scratch_providers_[j]) &&
          scratch_buckets_[j] == scratch_buckets_[i]) {
     ++j;
   }
   return j;
 }
-
 
 void AuctionPolicy::clear_auction(cluster::JobId id) {
   const auto it = auctions_.find(id);
@@ -474,20 +407,6 @@ void AuctionPolicy::advance_awards(core::Pending p) {
     // The award is an admission enquiry through the shared seam: the
     // winner re-checks, reserves, and answers with a kReply.  A
     // coalition winner is addressed through its representative.
-    const auto& acfg = ctx_.config().auction;
-    if (acfg.piggyback_awards && acfg.batch_solicitations &&
-        !solicit_queue_.empty() &&
-        flush_deadline_ <= ctx_.now() + acfg.piggyback_hold_window &&
-        flush_solicits(award.bid.bidder)) {
-      // A flush is already due soon AND it will solicit this winner: hold
-      // the award so that flush carries it for free.  Strictly
-      // opportunistic — an award never waits for a ride that isn't
-      // coming, because delaying an admission re-check decays the
-      // winner's estimate (and with it acceptance).
-      held_awards_.push_back(
-          HeldAward{std::move(p), rep, award.payment, false});
-      return;
-    }
     ctx_.send_award(std::move(p), rep, award.payment);
     return;  // resume in the engine's reply handler (or the timeout)
   }
@@ -517,14 +436,6 @@ void AuctionPolicy::drain_in_flight(
   // wake-ups and bid timeouts now find nothing.
   solicit_queue_.clear();
   flush_deadline_ = sim::kTimeInfinity;
-  // Undispatched held awards still own their Pending; dispatched ones
-  // were parked with the engine and are drained there.
-  for (HeldAward& held : held_awards_) {
-    if (held.dispatched) continue;
-    sink(std::move(held.pending));
-  }
-  held_awards_.clear();
-  bid_cache_.clear();
 }
 
 void AuctionPolicy::fallback(core::Pending p) {
@@ -551,8 +462,7 @@ market::Bid AuctionPolicy::participant_bid(const cluster::Job& job) {
         manager->registry().representative(pid) == ctx_.self()) {
       // This cluster speaks for its coalition: one joint bid aggregated
       // over the members' pricing (fanned out on the local links; the
-      // manager counts them), bypassing the solo TTL cache — a joint
-      // quote depends on every member's queue, not just ours.
+      // manager counts them).
       return manager->joint_bid(pid, job);
     }
   }
@@ -565,28 +475,6 @@ market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
   market::Bid bid;
   bid.bidder = ctx_.self();
   if (job.processors > own.processors) return bid;  // infeasible
-  const sim::SimTime ttl = cfg.auction.bid_cache_ttl;
-  // The key's log-scale buckets cost two log1p calls: built only when the
-  // cache is on.
-  BidCacheKey key;
-  if (ttl > 0.0) {
-    const double quantum = cfg.auction.bid_cache_quantum;
-    key = BidCacheKey{job.origin, job.processors,
-                      market::shape_bucket(job.length_mi, quantum),
-                      market::shape_bucket(job.comm_overhead, quantum)};
-    ++counters_.bid_cache_lookups;
-    const auto it = bid_cache_.find(key);
-    if (it != bid_cache_.end() && ctx_.now() - it->second.stamp <= ttl) {
-      // Same-shape job within the window: reuse ask and estimate, but the
-      // feasibility verdict is re-derived against THIS job's deadline.
-      ++counters_.bid_cache_hits;
-      bid.ask = it->second.ask;
-      bid.completion_estimate = it->second.completion_estimate;
-      bid.feasible = !cfg.enforce_deadline ||
-                     bid.completion_estimate <= job.absolute_deadline();
-      return bid;
-    }
-  }
   const sim::SimTime exec = cluster::execution_time(
       job, ctx_.spec_of(job.origin), own);
   const sim::SimTime staged =
@@ -599,10 +487,6 @@ market::Bid AuctionPolicy::make_bid(const cluster::Job& job) {
   bid.ask = market::bid_price(cfg.auction.bid_pricing, true_cost,
                               ctx_.lrms().instantaneous_load(),
                               cfg.auction.markup, cfg.pricing);
-  if (ttl > 0.0) {
-    bid_cache_[key] =
-        BidCacheEntry{bid.ask, bid.completion_estimate, ctx_.now()};
-  }
   return bid;
 }
 
@@ -610,20 +494,6 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
   // Provider side: answer with a sealed ask.  Bidding is non-binding (no
   // reservation); the award re-runs admission, so a stale estimate only
   // costs the origin a declined award, never a broken guarantee.
-  //
-  // Piggybacked awards ride in front of the bids: each is an admission
-  // enquiry whose reservation the subsequent estimates must price around.
-  for (const core::PiggybackedAward& award : msg.batch_awards) {
-    core::Message enquiry{core::MessageType::kAward, msg.from, ctx_.self(),
-                          award.job};
-    enquiry.price = award.payment;
-    ctx_.admit_enquiry(enquiry);
-  }
-  if (!msg.batch_awards.empty()) {
-    // The admissions above reserved capacity; cached estimates predate
-    // them, so drop the cache to keep the awards-first ordering honest.
-    bid_cache_.clear();
-  }
   if (!msg.batch_jobs.empty()) {
     // Batched solicitation: one sealed ask per carried job, all riding
     // home in a single wire message.

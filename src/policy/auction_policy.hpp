@@ -9,14 +9,12 @@
 //    clears empty (or whose every award is declined) falls back to the
 //    DBC walk when the config allows;
 //  * provider side: answer call-for-bids with sealed asks (admission-
-//    style completion estimate + the configured bid-pricing strategy),
-//    optionally served from a TTL cache for same-shape jobs.
+//    style completion estimate + the configured bid-pricing strategy).
 //
 // The policy owns every piece of auction-only state the Gfa god class
 // used to carry: the open books, the batched-solicitation queue, the
 // book pool and scratch buffers, the award ranking riding each Pending
-// (as an AuctionJobState behind Pending::policy_state), the provider-side
-// bid cache, and the held awards awaiting a piggyback flush.
+// (as an AuctionJobState behind Pending::policy_state).
 
 #include <cstdint>
 #include <unordered_map>
@@ -37,14 +35,12 @@ class AuctionPolicy final : public SchedulingPolicy {
                                     cluster::ResourceIndex exec) const override;
   void on_call_for_bids(const core::Message& msg) override;
   void on_bid(const core::Message& msg) override;
-  [[nodiscard]] PolicyCounters counters() const override { return counters_; }
   [[nodiscard]] std::size_t open_auctions() const override {
     return auctions_.size();
   }
 
   /// This cluster's solo sealed bid for `job` (provider side; also the
-  /// origin's own message-free local bid).  Serves same-shape jobs from
-  /// the TTL cache when AuctionConfig::bid_cache_ttl is set.
+  /// origin's own message-free local bid).
   [[nodiscard]] market::Bid make_bid(const cluster::Job& job) override;
 
   /// The sealed bid this cluster answers a call-for-bids with: its own
@@ -53,12 +49,9 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// the cheap intra-coalition links.
   [[nodiscard]] market::Bid participant_bid(const cluster::Job& job);
 
-  void invalidate_bid_cache() override { bid_cache_.clear(); }
-
   /// Crash drain (membership churn): hands back the jobs in every open
-  /// book and every undispatched held award, empties the solicitation
-  /// queue, and drops the bid cache.  Armed bid timeouts and flush wakes
-  /// find nothing to act on afterwards.
+  /// book and empties the solicitation queue.  Armed bid timeouts and
+  /// flush wakes find nothing to act on afterwards.
   void drain_in_flight(
       const std::function<void(core::Pending)>& sink) override;
 
@@ -87,36 +80,6 @@ class AuctionPolicy final : public SchedulingPolicy {
     market::AuctionBook book;
   };
 
-  /// An award waiting (bounded) for a solicitation flush to carry it.
-  /// `target` is the wire address — the winning participant's
-  /// representative cluster.
-  struct HeldAward {
-    core::Pending pending;
-    cluster::ResourceIndex target = cluster::kNoResource;
-    double payment = 0.0;
-    bool dispatched = false;  ///< rode a flush or went standalone
-  };
-
-  /// Key of the provider-side bid cache: the job attributes the ask and
-  /// the completion estimate actually depend on — its *shape*.  Length
-  /// and comm overhead enter as log-scale buckets (bid_cache_quantum
-  /// relative width) so near-identical jobs share an entry.
-  struct BidCacheKey {
-    cluster::ResourceIndex origin = 0;
-    std::uint32_t processors = 0;
-    std::int64_t length_bucket = 0;
-    std::int64_t comm_bucket = 0;
-    [[nodiscard]] bool operator==(const BidCacheKey&) const = default;
-  };
-  struct BidCacheKeyHash {
-    [[nodiscard]] std::size_t operator()(const BidCacheKey& key) const noexcept;
-  };
-  struct BidCacheEntry {
-    double ask = 0.0;
-    sim::SimTime completion_estimate = 0.0;
-    sim::SimTime stamp = 0.0;  ///< when the pricing ran
-  };
-
   [[nodiscard]] static AuctionJobState* state_of(const core::Pending& p);
   /// Ensures `p` carries an AuctionJobState, allocating on first touch.
   static AuctionJobState& ensure_state(core::Pending& p);
@@ -140,7 +103,7 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Flush wake-up; a no-op unless the earliest queued deadline is due.
   void maybe_flush_solicitations();
   /// Sends one coalesced kCallForBids per provider covering every queued
-  /// job (held awards ride along), then arms the per-job bid timeouts.
+  /// job, then arms the per-job bid timeouts.
   void flush_solicitations();
   /// Closes the book, clears it through the engine, reports telemetry and
   /// starts awarding (or falls back / rejects on an empty ranking).
@@ -148,19 +111,8 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// Tries the next award in the cleared ranking; exhausted = fallback.
   void advance_awards(core::Pending p);
   void on_bid_timeout(cluster::JobId id);
-  /// True when some queued (still-open) auction solicits `participant`,
-  /// so the pending flush will actually send its representative a
-  /// call-for-bids an award could ride.
-  [[nodiscard]] bool flush_solicits(
-      federation::ParticipantId participant) const;
-  /// True when an undispatched held award targets `provider` — shared by
-  /// the flush's run grouping (a provider carrying awards is carved into
-  /// its own message) and the piggyback bookkeeping.
-  [[nodiscard]] bool has_held_award(cluster::ResourceIndex provider) const;
   /// End of the maximal run [i, end) of flush providers that can share
-  /// one multicast: equal job buckets and no held awards (a payload with
-  /// piggybacked awards differs per provider).  The single place the
-  /// equal-bucket grouping rule lives.
+  /// one multicast: the run extends while the job buckets are equal.
   [[nodiscard]] std::size_t solicit_run_end(std::size_t i) const;
   /// Exhausted every auction avenue: DBC walk or rejection per config.
   void fallback(core::Pending p);
@@ -175,8 +127,6 @@ class AuctionPolicy final : public SchedulingPolicy {
   std::vector<cluster::JobId> solicit_queue_;
   /// Earliest flush deadline among queued jobs (infinity when empty).
   sim::SimTime flush_deadline_ = sim::kTimeInfinity;
-  /// Awards waiting to ride the next flush (piggyback_awards).
-  std::vector<HeldAward> held_awards_;
 
   /// Cleared books are recycled here instead of reallocating per job.
   market::BookPool book_pool_;
@@ -199,11 +149,6 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// cluster index; kNoBucket between flushes.
   static constexpr std::uint32_t kNoBucket = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> provider_bucket_;
-
-  /// Provider-side pricing cache (bid_cache_ttl > 0).
-  std::unordered_map<BidCacheKey, BidCacheEntry, BidCacheKeyHash> bid_cache_;
-
-  PolicyCounters counters_;
 };
 
 }  // namespace gridfed::policy

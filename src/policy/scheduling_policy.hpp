@@ -42,14 +42,6 @@ class CoalitionManager;
 
 namespace gridfed::policy {
 
-/// Counters a policy accumulates over a run (surfaced through
-/// stats::AuctionStats; all-zero for policies without the feature).
-struct PolicyCounters {
-  std::uint64_t bid_cache_lookups = 0;  ///< provider-side pricing requests
-  std::uint64_t bid_cache_hits = 0;     ///< served from the TTL cache
-  std::uint64_t awards_piggybacked = 0; ///< kAwards that rode a solicitation
-};
-
 /// Protocol-engine services a policy schedules through.  Implemented by
 /// core::Gfa; policies hold a reference and never outlive it.
 class SchedulerContext {
@@ -91,10 +83,6 @@ class SchedulerContext {
   /// Auction award enquiry through the same seam (kAward + payment).
   virtual void send_award(core::Pending p, cluster::ResourceIndex target,
                           double payment) = 0;
-  /// Parks `p` as an in-flight award to `target` WITHOUT a wire message of
-  /// its own — the award text rides on a piggybacked solicitation the
-  /// policy sends separately.  Arms the reply timeout like send_award.
-  virtual void park_award(core::Pending p, cluster::ResourceIndex target) = 0;
   /// An award won by a coalition the origin itself represents: internal
   /// placement runs locally (no wire enquiry), then the payload ships
   /// straight to the chosen member — or, if every member declines, `p`
@@ -116,9 +104,6 @@ class SchedulerContext {
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
-  /// Provider-side admission for an enquiry delivered out of band (a
-  /// piggybacked kAward): exact estimate, reserve, answer with a kReply.
-  virtual void admit_enquiry(const core::Message& msg) = 0;
   /// Auction telemetry sink (host's ClearingReport channel).
   virtual void auction_report(const market::ClearingReport& report) = 0;
   /// The observability umbrella, or null when disabled (GF_OBS sites
@@ -158,16 +143,9 @@ class SchedulingPolicy {
   /// price nothing).
   [[nodiscard]] virtual market::Bid make_bid(const cluster::Job& job);
 
-  /// Drops any cached provider-side pricing (the auction policy's TTL
-  /// bid cache).  Called when capacity was reserved behind the policy's
-  /// back — a coalition placement admitting on this member — so later
-  /// bids price the queue honestly, mirroring the cache drop the policy
-  /// performs itself after processing piggybacked awards.
-  virtual void invalidate_bid_cache() {}
-
   /// Membership churn: this GFA's cluster crashed.  Hand every job the
-  /// policy is holding in flight (open auction books, undispatched held
-  /// awards) to `sink` and drop the machinery around them — armed
+  /// policy is holding in flight (open auction books) to `sink` and drop
+  /// the machinery around them — armed
   /// timeouts must find nothing to act on afterwards.  Policies without
   /// job-holding state need nothing (the engine drains its own pending
   /// enquiries separately).
@@ -175,9 +153,6 @@ class SchedulingPolicy {
       const std::function<void(core::Pending)>& sink) {
     (void)sink;
   }
-
-  /// Run counters (see PolicyCounters); default all-zero.
-  [[nodiscard]] virtual PolicyCounters counters() const { return {}; }
 
   /// Auction books currently open at this policy (the metrics layer's
   /// book-depth gauge; 0 for policies without a market).

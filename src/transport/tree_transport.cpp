@@ -25,7 +25,6 @@ TreeTransport::TreeTransport(TransportContext& ctx,
   prune_k_ = cfg.transport.bid_prune_k;
   if (prune_k_ == 1) prune_k_ = 2;
   encode_bids_ = cfg.transport.bid_delta_encode;
-  shape_quantum_ = cfg.auction.bid_cache_quantum;
   scorer_ = market::BidScorer(cfg.auction.scoring,
                               cfg.auction.score_time_weight,
                               cfg.enforce_budget, cfg.enforce_deadline);
@@ -334,14 +333,12 @@ void TreeTransport::remember_job(const cluster::Job& job) {
   facts.qos = market::JobQos::of(job);
   // The delta encoder's shape key: jobs whose solicited attributes fall
   // in the same log buckets produce near-identical quotes from one
-  // provider (the same buckets the provider-side bid TTL cache reuses
-  // quotes across), so their bids on one edge share a base quote.
+  // provider, so their bids on one edge share a base quote.
   std::uint64_t h = sim::kFnvOffsetBasis;
   h = sim::fnv1a_mix(h, job.origin);
   h = sim::fnv1a_mix(h, job.processors);
-  h = sim::fnv1a_mix(h, market::shape_bucket(job.length_mi, shape_quantum_));
-  h = sim::fnv1a_mix(h,
-                     market::shape_bucket(job.comm_overhead, shape_quantum_));
+  h = sim::fnv1a_mix(h, market::shape_bucket(job.length_mi));
+  h = sim::fnv1a_mix(h, market::shape_bucket(job.comm_overhead));
   job_facts_[job.id] = JobFacts{facts.qos, h};
 }
 

@@ -240,7 +240,6 @@ class TreeTransport final : public Transport {
   // Convergecast score-and-prune + delta encoding state.
   std::uint32_t prune_k_ = 0;      ///< 0 = forward every bid whole
   bool encode_bids_ = false;       ///< compact per-edge frame accounting
-  double shape_quantum_ = 0.0;     ///< log-bucket width of the shape keys
   market::BidScorer scorer_;       ///< the engine's exact rank order
   std::unordered_map<cluster::JobId, JobFacts> job_facts_;
   std::uint64_t bids_pruned_ = 0;

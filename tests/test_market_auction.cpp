@@ -677,9 +677,6 @@ TEST(AuctionBookIndex, CoalitionAndSingletonIdsShareOneBook) {
   // may answer for the other.
   market::AuctionBook book(
       7, {0u, coalition_id(0), 3u, coalition_id(3)});
-  EXPECT_TRUE(book.solicits(coalition_id(0)));
-  EXPECT_FALSE(book.solicits(coalition_id(1)));
-  EXPECT_FALSE(book.solicits(1u));
   EXPECT_FALSE(book.add({coalition_id(1), 1.0, 10.0, true}));
   EXPECT_FALSE(book.add({1u, 1.0, 10.0, true}));
   EXPECT_TRUE(book.add({coalition_id(3), 1.0, 10.0, true}));
@@ -722,7 +719,6 @@ TEST(AuctionBookIndex, RedeliveredBidsAreIgnored) {
 
 TEST(AuctionBookIndex, IdsBeyondTheIndexAreUnsolicited) {
   market::AuctionBook book(7, {0u, 1u});
-  EXPECT_FALSE(book.solicits(1000u));
   EXPECT_FALSE(book.add({1000u, 1.0, 10.0, true}));
   EXPECT_FALSE(book.add_pruned(coalition_id(1000)));
   EXPECT_FALSE(book.add({federation::kNoParticipant, 1.0, 10.0, true}));
@@ -740,7 +736,6 @@ TEST(AuctionBookIndex, ReopenWithDisjointSetLeavesNoStaleSlot) {
   for (const federation::ParticipantId old : {federation::ParticipantId{5u},
                                               federation::ParticipantId{9u},
                                               coalition_id(4)}) {
-    EXPECT_FALSE(book.solicits(old)) << old.value;
     EXPECT_FALSE(book.add({old, 1.0, 10.0, true})) << old.value;
     EXPECT_FALSE(book.add_pruned(old)) << old.value;
   }

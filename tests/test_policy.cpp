@@ -11,9 +11,8 @@
 // a different rank walk, a changed message count, a perturbed award
 // ranking — changes the digest.
 //
-// Also covers the policy layer's own seams: the stray-message defaults,
-// the provider-side bid cache (AuctionConfig::bid_cache_ttl), and the
-// award piggybacking counters.
+// Also covers the policy layer's own seams: the stray-message defaults
+// and multi-attribute scoring.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +59,6 @@ struct RunDigest {
   std::uint64_t messages = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  stats::AuctionStats auctions;
 };
 
 RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft) {
@@ -76,8 +74,7 @@ RunDigest digest(const core::FederationConfig& cfg, std::uint32_t oft) {
   fed.load_workload(traces, profile);
   const auto result = fed.run();
   return RunDigest{outcome_hash(fed.outcomes()), result.total_messages,
-                   result.total_accepted, result.total_rejected,
-                   result.auctions};
+                   result.total_accepted, result.total_rejected};
 }
 
 void expect_seed_identical(const RunDigest& d, std::uint64_t hash,
@@ -146,19 +143,26 @@ TEST(PolicyParity, DbcUnderFailureInjectionReproducesSeed) {
 
 TEST(PolicyLayer, StrayAuctionMessagesIgnoredOutsideAuctionMode) {
   // A kCallForBids or kBid delivered to a DBC-mode agent hits the base
-  // policy's default handlers and is dropped without effect.
+  // policy's default handlers and is dropped without effect: no answer
+  // goes on the wire (an auction-mode agent would send a kBid back) and
+  // no book opens.
   const auto cfg = core::make_config(core::SchedulingMode::kEconomy);
   auto specs = cluster::table1_specs();
   core::Federation fed(cfg, specs);
+  const core::Federation& view = fed;
+  const std::uint64_t wire_before = view.ledger().total();
   cluster::Job job;
   job.id = 42;
   job.origin = 1;
   job.processors = 1;
   core::Message stray{core::MessageType::kCallForBids, 1, 0, job};
   fed.gfa(0).receive(stray);
+  EXPECT_EQ(view.ledger().total(), wire_before);
+  EXPECT_EQ(fed.gfa(0).scheduling_policy().open_auctions(), 0u);
   stray.type = core::MessageType::kBid;
   fed.gfa(0).receive(stray);
-  EXPECT_EQ(fed.gfa(0).scheduling_policy().counters().bid_cache_lookups, 0u);
+  EXPECT_EQ(view.ledger().total(), wire_before);
+  EXPECT_EQ(fed.gfa(0).scheduling_policy().open_auctions(), 0u);
 }
 
 TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
@@ -175,86 +179,6 @@ TEST(PolicyLayer, MultiAttributeScoringBuysResponseTimeForOftUsers) {
   // Same workload, same acceptance bar: the market clears the same jobs.
   EXPECT_EQ(a.total_accepted + a.total_rejected,
             b.total_accepted + b.total_rejected);
-}
-
-// ---- provider-side bid cache ------------------------------------------------
-
-TEST(BidCache, DisabledByDefault) {
-  const auto d = digest(core::make_config(core::SchedulingMode::kAuction), 30);
-  EXPECT_EQ(d.auctions.bid_cache_lookups, 0u);
-  EXPECT_EQ(d.auctions.bid_cache_hits, 0u);
-}
-
-TEST(BidCache, TtlServesRepeatPricingsAndCountsHits) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.bid_cache_ttl = 3600.0;
-  const auto d = digest(cfg, 30);
-  EXPECT_GT(d.auctions.bid_cache_lookups, 0u);
-  EXPECT_GT(d.auctions.bid_cache_hits, 0u);
-  EXPECT_LE(d.auctions.bid_cache_hits, d.auctions.bid_cache_lookups);
-  EXPECT_GT(d.auctions.bid_cache_hit_rate(), 0.0);
-  EXPECT_LE(d.auctions.bid_cache_hit_rate(), 1.0);
-  // Every job still gets a verdict: stale estimates can shift placements
-  // but never lose jobs.
-  EXPECT_EQ(d.accepted + d.rejected, 2662u);
-}
-
-TEST(BidCache, CachedRunsAreDeterministic) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.bid_cache_ttl = 600.0;
-  const auto a = digest(cfg, 30);
-  const auto b = digest(cfg, 30);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.auctions.bid_cache_hits, b.auctions.bid_cache_hits);
-}
-
-// ---- award piggybacking -----------------------------------------------------
-
-TEST(Piggyback, AwardsRideTheSolicitationFlush) {
-  // Piggybacking needs awards and open solicitations to overlap in time,
-  // which only happens with nonzero message latency: under the paper's
-  // instantaneous network the whole solicit/bid/award cascade runs in one
-  // event instant and the flush queue is always empty at award time.
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.network_latency = 1.0;
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  const auto batched = digest(cfg, 30);
-  EXPECT_EQ(batched.auctions.awards_piggybacked, 0u);  // off by default
-
-  cfg.auction.piggyback_awards = true;
-  const auto piggy = digest(cfg, 30);
-  EXPECT_GT(piggy.auctions.awards_piggybacked, 0u);
-  // Each ridden award saves (at least) its own wire message.
-  EXPECT_LT(piggy.messages, batched.messages);
-  EXPECT_EQ(piggy.accepted + piggy.rejected, 2662u);
-}
-
-TEST(Piggyback, NoOverlapUnderInstantaneousNetworkIsHarmless) {
-  // With zero latency the flag is a no-op: nothing to ride, awards go
-  // standalone, and results match plain batching bit-for-bit.
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  const auto batched = digest(cfg, 30);
-  cfg.auction.piggyback_awards = true;
-  const auto piggy = digest(cfg, 30);
-  EXPECT_EQ(piggy.auctions.awards_piggybacked, 0u);
-  EXPECT_EQ(piggy.hash, batched.hash);
-  EXPECT_EQ(piggy.messages, batched.messages);
-}
-
-TEST(Piggyback, DeterministicUnderPiggybacking) {
-  auto cfg = core::make_config(core::SchedulingMode::kAuction);
-  cfg.network_latency = 1.0;
-  cfg.auction.batch_solicitations = true;
-  cfg.auction.solicit_batch_window = 300.0;
-  cfg.auction.piggyback_awards = true;
-  const auto a = digest(cfg, 30);
-  const auto b = digest(cfg, 30);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.auctions.awards_piggybacked, b.auctions.awards_piggybacked);
 }
 
 }  // namespace
