@@ -6,9 +6,9 @@
 
 namespace gridfed::cluster {
 
-Lrms::Lrms(sim::Simulation& sim, sim::EntityId id, ResourceSpec spec,
-           ResourceIndex index, QueuePolicy policy)
-    : Entity(sim, id, spec.name),
+Lrms::Lrms(sim::Simulation& sim, ResourceSpec spec, ResourceIndex index,
+           QueuePolicy policy)
+    : sim_(sim),
       spec_(std::move(spec)),
       index_(index),
       policy_(policy),
@@ -20,7 +20,7 @@ Lrms::Lrms(sim::Simulation& sim, sim::EntityId id, ResourceSpec spec,
 sim::SimTime Lrms::feasible_start(std::uint32_t procs,
                                   sim::SimTime exec_time,
                                   sim::SimTime earliest) const {
-  sim::SimTime not_before = std::max(now(), earliest);
+  sim::SimTime not_before = std::max(sim_.now(), earliest);
   if (policy_ == QueuePolicy::kFcfs) {
     not_before = std::max(not_before, last_fcfs_start_);
   }
@@ -36,7 +36,7 @@ sim::SimTime Lrms::estimate_completion(const Job& job, sim::SimTime exec_time,
 sim::SimTime Lrms::expected_wait(std::uint32_t procs,
                                  sim::SimTime exec_time) const {
   if (procs > spec_.processors) return sim::kTimeInfinity;
-  return feasible_start(procs, exec_time, 0.0) - now();
+  return feasible_start(procs, exec_time, 0.0) - sim_.now();
 }
 
 Reservation Lrms::submit(const Job& job, sim::SimTime exec_time,
@@ -59,13 +59,13 @@ Reservation Lrms::submit(const Job& job, sim::SimTime exec_time,
   // Start and completion are definite: schedule both now.  Completion runs
   // at kCompletion priority so freed processors are visible to same-instant
   // arrivals (see EventPriority).
-  simulation().schedule_at(
+  sim_.schedule_at(
       start, sim::EventPriority::kCompletion,
       [this, serial = res.serial, procs = res.processors] {
         on_start(serial, procs);
       });
-  simulation().schedule_at(completion, sim::EventPriority::kCompletion,
-                           [this, job, res] { on_finish(job, res); });
+  sim_.schedule_at(completion, sim::EventPriority::kCompletion,
+                   [this, job, res] { on_finish(job, res); });
   return res;
 }
 
@@ -79,7 +79,7 @@ void Lrms::cancel(const Reservation& reservation) {
   // now() < start themselves (as Gfa::on_hold_timeout and
   // Gfa::admit_and_reply do); this precondition catches the
   // unambiguous misuse.
-  GF_EXPECTS(now() <= reservation.start);
+  GF_EXPECTS(sim_.now() <= reservation.start);
   GF_EXPECTS(!cancelled_.contains(reservation.serial));
   profile_.release(reservation.start, reservation.completion,
                    reservation.processors);
@@ -99,8 +99,8 @@ void Lrms::on_start(std::uint64_t serial, std::uint32_t procs) {
   ++running_;
   busy_ += procs;
   GF_ENSURES(busy_ <= spec_.processors);
-  util_.set_busy(now(), busy_);
-  profile_.trim(now());
+  util_.set_busy(sim_.now(), busy_);
+  profile_.trim(sim_.now());
 }
 
 void Lrms::shutdown() {
@@ -118,12 +118,11 @@ void Lrms::on_finish(const Job& job, const Reservation& res) {
   --running_;
   GF_ENSURES(busy_ >= res.processors);
   busy_ -= res.processors;
-  util_.set_busy(now(), busy_);
+  util_.set_busy(sim_.now(), busy_);
   if (res.serial < kill_below_) {
     // Killed by shutdown(): the machine went down mid-reservation, so
     // the output never materializes.  The origin's sweep (or its own
     // crash drain) accounts for the job.
-    ++killed_;
     return;
   }
   ++completed_;

@@ -22,8 +22,8 @@
 #include "cluster/availability_profile.hpp"
 #include "cluster/job.hpp"
 #include "cluster/resource.hpp"
-#include "sim/entity.hpp"
-#include "stats/utilization.hpp"
+#include "cluster/utilization.hpp"
+#include "sim/simulation.hpp"
 
 namespace gridfed::cluster {
 
@@ -55,12 +55,16 @@ struct CompletedJob {
 };
 
 /// Space-shared cluster scheduler (one per cluster).
-class Lrms : public sim::Entity {
+class Lrms {
  public:
   using CompletionHandler = std::function<void(const CompletedJob&)>;
 
-  Lrms(sim::Simulation& sim, sim::EntityId id, ResourceSpec spec,
-       ResourceIndex index, QueuePolicy policy = QueuePolicy::kFcfs);
+  /// The LRMS schedules its start/finish events on `sim`, which must
+  /// outlive it; those events capture `this`, so an Lrms never moves.
+  Lrms(sim::Simulation& sim, ResourceSpec spec, ResourceIndex index,
+       QueuePolicy policy = QueuePolicy::kFcfs);
+  Lrms(const Lrms&) = delete;
+  Lrms& operator=(const Lrms&) = delete;
 
   [[nodiscard]] const ResourceSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] ResourceIndex index() const noexcept { return index_; }
@@ -124,11 +128,6 @@ class Lrms : public sim::Entity {
 
   [[nodiscard]] bool down() const noexcept { return down_; }
 
-  /// Reservations killed by shutdown() whose finish already fired.
-  [[nodiscard]] std::uint64_t jobs_killed() const noexcept {
-    return killed_;
-  }
-
   /// Jobs currently occupying processors.
   [[nodiscard]] std::uint32_t running_jobs() const noexcept {
     return running_;
@@ -145,8 +144,7 @@ class Lrms : public sim::Entity {
   }
 
   /// Exact utilization integral (Tables 2/3, Fig 4).
-  [[nodiscard]] const stats::UtilizationIntegrator& utilization()
-      const noexcept {
+  [[nodiscard]] const UtilizationIntegrator& utilization() const noexcept {
     return util_;
   }
 
@@ -176,11 +174,12 @@ class Lrms : public sim::Entity {
   void on_start(std::uint64_t serial, std::uint32_t procs);
   void on_finish(const Job& job, const Reservation& res);
 
+  sim::Simulation& sim_;
   ResourceSpec spec_;
   ResourceIndex index_;
   QueuePolicy policy_;
   AvailabilityProfile profile_;
-  stats::UtilizationIntegrator util_;
+  UtilizationIntegrator util_;
   CompletionHandler on_completion_;
 
   sim::SimTime last_fcfs_start_ = 0.0;  // FCFS: starts are non-decreasing
@@ -195,7 +194,6 @@ class Lrms : public sim::Entity {
   /// Serials strictly below this were killed by shutdown(); their finish
   /// events decrement counters but never reach the completion handler.
   std::uint64_t kill_below_ = 0;
-  std::uint64_t killed_ = 0;
   // Reservations cancelled before start; their events no-op on firing.
   std::unordered_set<std::uint64_t> cancelled_;  // by Reservation::serial
 };

@@ -1,8 +1,6 @@
-#include "stats/utilization.hpp"
+#include "cluster/utilization.hpp"
 
-#include "sim/check.hpp"
-
-namespace gridfed::stats {
+namespace gridfed::cluster {
 
 void UtilizationIntegrator::set_busy(sim::SimTime now,
                                      std::uint32_t busy) noexcept {
@@ -28,4 +26,4 @@ double UtilizationIntegrator::utilization(sim::SimTime horizon) const noexcept {
   return busy_area(horizon) / (static_cast<double>(capacity_) * horizon);
 }
 
-}  // namespace gridfed::stats
+}  // namespace gridfed::cluster

@@ -8,7 +8,7 @@
 
 #include "sim/types.hpp"
 
-namespace gridfed::stats {
+namespace gridfed::cluster {
 
 /// Exact integral of (busy processors / total processors) dt.
 ///
@@ -40,4 +40,4 @@ class UtilizationIntegrator {
   double area_ = 0.0;
 };
 
-}  // namespace gridfed::stats
+}  // namespace gridfed::cluster

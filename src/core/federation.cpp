@@ -85,6 +85,8 @@ Federation::Federation(FederationConfig config,
       // Each sample's message/byte columns come straight from the
       // authoritative ledger (never double-counted by instrumentation),
       // so the closing sample equals FederationResult's totals exactly.
+      static_assert(obs::kMessageTypeCount == kMessageTypeCount,
+                    "obs sizes its per-type columns by MessageType");
       metrics->set_ledger_sampler([this](obs::MetricsSample& sample) {
         for (std::size_t t = 0; t < kMessageTypeCount; ++t) {
           sample.msgs_by_type[t] =
@@ -108,13 +110,12 @@ Federation::Federation(FederationConfig config,
 
   lrms_.reserve(specs_.size());
   gfas_.reserve(specs_.size());
-  sim::EntityId next_id = 0;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const auto index = static_cast<cluster::ResourceIndex>(i);
-    lrms_.push_back(std::make_unique<cluster::Lrms>(
-        sim_, next_id++, specs_[i], index, cfg_.queue_policy));
-    gfas_.push_back(std::make_unique<Gfa>(sim_, next_id++, index,
-                                          *lrms_.back(), dir_, *this));
+    lrms_.push_back(std::make_unique<cluster::Lrms>(sim_, specs_[i], index,
+                                                    cfg_.queue_policy));
+    gfas_.push_back(
+        std::make_unique<Gfa>(sim_, index, *lrms_.back(), dir_, *this));
     // Wire cluster completions into the owning agent.
     Gfa* agent = gfas_.back().get();
     lrms_.back()->set_completion_handler(
@@ -376,11 +377,6 @@ sim::SimTime Federation::member_admit(cluster::ResourceIndex member,
 }
 
 // ---- membership::MembershipContext ------------------------------------------
-
-void Federation::gossip_send(Message msg) {
-  GF_EXPECTS(msg.to < gfas_.size());
-  transport_->unicast(std::move(msg));
-}
 
 void Federation::churn_crash(cluster::ResourceIndex site) {
   // Fail-stop, applied the instant the event fires: the agent drains its

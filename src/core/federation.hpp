@@ -69,6 +69,7 @@ class Federation final : public GfaHost,
   [[nodiscard]] FederationResult run();
 
   // ---- GfaHost ----------------------------------------------------------
+  /// Satisfies both GfaHost and MembershipContext.
   void send(Message msg) override;
   std::uint64_t multicast(Message msg,
                           std::span<const cluster::ResourceIndex> targets,
@@ -196,11 +197,10 @@ class Federation final : public GfaHost,
   }
 
   // ---- membership::MembershipContext --------------------------------------
-  // (config(), sim(), sites() and observer() above satisfy this interface
-  // too.)  The churn hooks apply ground truth the instant an event fires;
-  // member_confirmed_dead applies the detection-driven consequences when
-  // the gossip views converge on a genuine crash.
-  void gossip_send(Message msg) override;
+  // (config(), send(), sim(), sites() and observer() above satisfy this
+  // interface too.)  The churn hooks apply ground truth the instant an
+  // event fires; member_confirmed_dead applies the detection-driven
+  // consequences when the gossip views converge on a genuine crash.
   void churn_join(cluster::ResourceIndex site) override;
   void churn_leave(cluster::ResourceIndex site) override;
   void churn_crash(cluster::ResourceIndex site) override;

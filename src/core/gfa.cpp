@@ -23,10 +23,10 @@ sim::SimTime service_time_from_quote(const cluster::Job& job,
 }
 }  // namespace
 
-Gfa::Gfa(sim::Simulation& sim, sim::EntityId id, cluster::ResourceIndex index,
+Gfa::Gfa(sim::Simulation& sim, cluster::ResourceIndex index,
          cluster::Lrms& lrms, directory::FederationDirectory& dir,
          GfaHost& host)
-    : Entity(sim, id, "GFA(" + lrms.spec().name + ")"),
+    : sim_(sim),
       index_(index),
       lrms_(lrms),
       dir_(dir),
@@ -101,7 +101,7 @@ void Gfa::park_enquiry(Pending p, cluster::ResourceIndex target,
 
   const auto& cfg = host_.config();
   if (cfg.negotiate_timeout > 0.0) {
-    simulation().schedule_in(
+    sim_.schedule_in(
         cfg.negotiate_timeout, sim::EventPriority::kControl,
         [this, id, attempt] { on_negotiate_timeout(id, attempt); });
   }
@@ -299,7 +299,6 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
     return sim::kTimeInfinity;
   }
   const cluster::Reservation res = lrms_.submit(job, exec, staged);
-  ++remote_accepted_;
   const std::uint64_t token = ++next_hold_token_;
 #if GRIDFED_TRACE
   // Hold spans are keyed by their unique token so they stay balanced
@@ -321,7 +320,7 @@ sim::SimTime Gfa::admit_remote(const cluster::Job& job) {
     // If the payload never arrives (reply or submission lost), release
     // the processors.  2x the enquiry timeout comfortably covers the
     // origin's reply wait plus the submission leg.
-    simulation().schedule_in(
+    sim_.schedule_in(
         2.0 * cfg.negotiate_timeout, sim::EventPriority::kControl,
         [this, id = job.id, token] { on_hold_timeout(id, token); });
   }
@@ -534,10 +533,12 @@ void Gfa::on_crash() {
   // Remote holds: the reservations themselves were killed by the LRMS
   // shutdown (their finish events fire silently); close the books here.
   // Their origins re-place through on_peer_dead at confirmation.
+#if GRIDFED_TRACE
   for (const cluster::JobId id : sorted_ids(holds_)) {
     GF_OBS(host_.observer(), end(now(), obs::SpanKind::kHold, index_,
                                  holds_.find(id)->second.token, id, 4));
   }
+#endif
   holds_.clear();
 }
 

@@ -43,7 +43,7 @@
 #include "federation/participant.hpp"
 #include "obs/observer.hpp"
 #include "policy/scheduling_policy.hpp"
-#include "sim/entity.hpp"
+#include "sim/simulation.hpp"
 
 namespace gridfed::core {
 
@@ -119,10 +119,10 @@ class GfaHost {
 
 /// The Grid Federation Agent for one cluster: the protocol engine the
 /// configured SchedulingPolicy schedules through.
-class Gfa final : public sim::Entity, public policy::SchedulerContext {
+class Gfa final : public policy::SchedulerContext {
  public:
-  Gfa(sim::Simulation& sim, sim::EntityId id, cluster::ResourceIndex index,
-      cluster::Lrms& lrms, directory::FederationDirectory& dir, GfaHost& host);
+  Gfa(sim::Simulation& sim, cluster::ResourceIndex index, cluster::Lrms& lrms,
+      directory::FederationDirectory& dir, GfaHost& host);
 
   [[nodiscard]] cluster::ResourceIndex index() const noexcept {
     return index_;
@@ -143,12 +143,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   /// Publishes the current instantaneous load into the directory (the
   /// §2.3 coordination extension; driven periodically by the federation).
   void publish_load_hint();
-
-  /// Jobs this GFA accepted on behalf of remote GFAs (Table 3's "remote
-  /// jobs processed" is derived from outcomes; this counter cross-checks).
-  [[nodiscard]] std::uint64_t remote_jobs_accepted() const noexcept {
-    return remote_accepted_;
-  }
 
   // -- membership churn (driven by the Federation's churn hooks) ----------
   /// Fail-stop: this cluster crashed.  Every job the engine holds in
@@ -224,9 +218,9 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
     return dir_;
   }
   [[nodiscard]] cluster::Lrms& lrms() override { return lrms_; }
-  [[nodiscard]] sim::Simulation& sim() override { return simulation(); }
+  [[nodiscard]] sim::Simulation& sim() override { return sim_; }
   [[nodiscard]] sim::SimTime now() const noexcept override {
-    return Entity::now();
+    return sim_.now();
   }
   [[nodiscard]] sim::SimTime payload_staging_time(
       const cluster::Job& job, cluster::ResourceIndex site) const override {
@@ -314,6 +308,7 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   void finalize(cluster::JobId id, cluster::ResourceIndex exec,
                 sim::SimTime start, sim::SimTime completion);
 
+  sim::Simulation& sim_;
   cluster::ResourceIndex index_;
   cluster::Lrms& lrms_;
   directory::FederationDirectory& dir_;
@@ -326,7 +321,6 @@ class Gfa final : public sim::Entity, public policy::SchedulerContext {
   std::unordered_map<cluster::JobId, Awaiting> awaiting_;
   std::unordered_map<cluster::JobId, RemoteHold> holds_;
   std::uint64_t next_hold_token_ = 0;
-  std::uint64_t remote_accepted_ = 0;
   bool down_ = false;     ///< crashed (kCrash churn); lifts on rejoin
   bool leaving_ = false;  ///< departing gracefully (kLeave churn)
 };

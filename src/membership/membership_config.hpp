@@ -50,14 +50,6 @@ struct ChurnSchedule {
   std::vector<ChurnEvent> events;
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
-
-  [[nodiscard]] sim::SimTime last_event_time() const noexcept {
-    sim::SimTime last = 0.0;
-    for (const ChurnEvent& ev : events) {
-      if (ev.time > last) last = ev.time;
-    }
-    return last;
-  }
 };
 
 /// Gossip/failure-detector knobs plus the churn script.

@@ -109,7 +109,7 @@ void MembershipService::send_digest(cluster::ResourceIndex from,
   msg.job.origin = from;
   views_[from].fill_digest(msg.gossip);
   ++tel_.gossip_messages;
-  ctx_.gossip_send(std::move(msg));
+  ctx_.send(std::move(msg));
 }
 
 void MembershipService::on_gossip(const core::Message& msg) {
@@ -125,7 +125,7 @@ void MembershipService::on_gossip(const core::Message& msg) {
 }
 
 void MembershipService::note_transitions(
-    cluster::ResourceIndex observer_site) {
+    [[maybe_unused]] cluster::ResourceIndex observer_site) {
   for (const auto& [subject, status] : scratch_transitions_) {
     ++tel_.suspicions;
     GF_OBS(ctx_.observer(), count(obs::Counter::kSuspicions));

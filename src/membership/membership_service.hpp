@@ -45,7 +45,7 @@ class MembershipContext {
   [[nodiscard]] virtual std::size_t sites() const = 0;
 
   /// Sends one kGossip digest over the run's transport.
-  virtual void gossip_send(core::Message msg) = 0;
+  virtual void send(core::Message msg) = 0;
 
   virtual void churn_join(cluster::ResourceIndex site) = 0;
   virtual void churn_leave(cluster::ResourceIndex site) = 0;

@@ -13,12 +13,12 @@
 // the consistency the observability tests pin.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <vector>
 
-#include "core/message.hpp"
 #include "sim/types.hpp"
 
 namespace gridfed::obs {
@@ -141,13 +141,18 @@ struct Histogram {
   }
 };
 
+/// Number of core::MessageType values, i.e. the per-type ledger columns.
+/// Kept here so obs does not include core; core/federation.cpp, which
+/// fills the columns, asserts it equals core::kMessageTypeCount.
+inline constexpr std::size_t kMessageTypeCount = 8;
+
 /// One epoch snapshot of the registry plus the ledger totals.
 struct MetricsSample {
   sim::SimTime t = 0.0;
   std::array<std::uint64_t, kCounterCount> counters{};
   std::array<std::uint64_t, kGaugeCount> gauges{};
-  std::array<std::uint64_t, core::kMessageTypeCount> msgs_by_type{};
-  std::array<std::uint64_t, core::kMessageTypeCount> bytes_by_type{};
+  std::array<std::uint64_t, kMessageTypeCount> msgs_by_type{};
+  std::array<std::uint64_t, kMessageTypeCount> bytes_by_type{};
   std::uint64_t total_msgs = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t relay_msgs = 0;

@@ -14,7 +14,7 @@
 
 namespace gridfed::sim {
 
-inline EventQueue::EventHandle EventQueue::push(Event ev) {
+inline void EventQueue::push(Event ev) {
   // The IEEE-bits-as-integer ordering trick needs a non-negative time
   // (which also rejects NaN).  -0.0 would bit-sort above every positive
   // value, so normalize it to +0.0.
@@ -41,9 +41,7 @@ inline EventQueue::EventHandle EventQueue::push(Event ev) {
   const std::uint64_t low =
       (static_cast<std::uint64_t>(ev.priority) << (kFelSeqBits + kFelSlotBits)) |
       (ev.seq << kFelSlotBits) | slot;
-  Slot& s = slots_[slot];
-  s.action = std::move(ev.action);
-  s.low = low;
+  slots_[slot].action = std::move(ev.action);
   const FelKey key =
       (static_cast<FelKey>(std::bit_cast<std::uint64_t>(ev.time)) << 64) | low;
 
@@ -53,35 +51,29 @@ inline EventQueue::EventHandle EventQueue::push(Event ev) {
     heap_.push(key);
     maybe_spill();
   }
-  ++live_;
-  // The structural min is live (tombstoned minima are removed eagerly),
-  // so the cached time folds in with one compare — no min_key() call,
+  // The cached time folds in with one compare — no min_key() call,
   // which keeps ladder pushes O(1) (min_key may sort a bucket).
   if (ev.time < next_time_) next_time_ = ev.time;
   GF_SIM_CHECK(consistent());
-  return EventHandle{low};
 }
 
 inline FelKey EventQueue::pop_key(InlineFunction& action) {
   const FelKey top = active_pop();
   const std::uint32_t slot = fel_slot_of(top);
-  Slot& s = slots_[slot];
-  action = std::move(s.action);
-  s.low = EventHandle::kNoEvent;
+  action = std::move(slots_[slot].action);
   free_slots_.push_back(slot);
-  --live_;
   after_remove();
   GF_SIM_CHECK(consistent());
   return top;
 }
 
 inline SimTime EventQueue::pop_into(InlineFunction& action) {
-  GF_EXPECTS(live_ > 0);
+  GF_EXPECTS(!empty());
   return fel_time_of(pop_key(action));
 }
 
 inline Event EventQueue::pop() {
-  GF_EXPECTS(live_ > 0);
+  GF_EXPECTS(!empty());
   constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kFelSeqBits) - 1;
   Event ev;
   const FelKey top = pop_key(ev.action);
@@ -94,21 +86,16 @@ inline Event EventQueue::pop() {
 }
 
 inline void EventQueue::after_remove() {
-  if (live_ == 0) {
-    // Only tombstones (if anything) remain: drop them wholesale.  A
-    // hybrid queue also returns to the heap here — the cheapest possible
-    // un-spill point.
+  if (empty()) {
+    // A drained ladder resets its rungs; a hybrid queue also returns to
+    // the heap here — the cheapest possible un-spill point.
     if (spilled_) {
       ladder_.clear();
       if (cfg_.kind == FelConfig::Kind::kHybrid) spilled_ = false;
-    } else {
-      heap_.clear();
     }
-    cancelled_.clear();
     next_time_ = kTimeInfinity;
     return;
   }
-  if (!cancelled_.empty()) drop_cancelled_min();
   maybe_unspill();
   const FelKey next = active_min();
   next_time_ = fel_time_of(next);
@@ -138,7 +125,7 @@ inline void EventQueue::maybe_spill() {
 
 inline void EventQueue::maybe_unspill() {
   if (spilled_ && cfg_.kind == FelConfig::Kind::kHybrid &&
-      live_ <= cfg_.spill_threshold / 4) {
+      ladder_.size() <= cfg_.spill_threshold / 4) {
     migrate_to_heap();
   }
 }

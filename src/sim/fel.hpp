@@ -55,9 +55,8 @@ inline constexpr std::uint64_t kFelSlotMask =
                                     kFelSlotMask);
 }
 
-/// Low 64 bits of a key: priority ‖ seq ‖ slot.  Unique per pending
-/// event whenever seqs are unique (the Simulation assigns a monotone
-/// counter), so it serves as a compact cancellation identity.
+/// Low 64 bits of a key: priority ‖ seq ‖ slot, from which
+/// EventQueue::pop() decodes an event's priority and seq.
 [[nodiscard]] inline std::uint64_t fel_low64(FelKey k) noexcept {
   return static_cast<std::uint64_t>(k);
 }

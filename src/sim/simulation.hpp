@@ -90,9 +90,6 @@ class Simulation {
     return queue_.size();
   }
 
-  /// Discards all pending events (the clock is left where it is).
-  void drain() noexcept { queue_.clear(); }
-
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;

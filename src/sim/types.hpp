@@ -18,9 +18,4 @@ inline constexpr SimTime kTimeInfinity = std::numeric_limits<SimTime>::infinity(
 /// Monotone sequence number used to stabilise event ordering.
 using EventSeq = std::uint64_t;
 
-/// Identifier of a simulation entity (GFA, cluster, user population, ...).
-using EntityId = std::uint32_t;
-
-inline constexpr EntityId kNoEntity = static_cast<EntityId>(-1);
-
 }  // namespace gridfed::sim

@@ -63,7 +63,7 @@ struct Fixture {
   Lrms lrms;
   std::vector<CompletedJob> done;
 
-  Fixture() : lrms(sim, 0, ResourceSpec{"c", 8, 100.0, 1.0, 1.0}, 0) {
+  Fixture() : lrms(sim, ResourceSpec{"c", 8, 100.0, 1.0, 1.0}, 0) {
     lrms.set_completion_handler(
         [this](const CompletedJob& c) { done.push_back(c); });
   }

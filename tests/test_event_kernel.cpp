@@ -241,16 +241,6 @@ TEST(EventQueue, ContractViolationsThrowLoudly) {
       ContractViolation);
 }
 
-TEST(EventQueue, ClearRetainsNothing) {
-  EventQueue q;
-  bool fired = false;
-  q.push(Event{1.0, EventPriority::kControl, 0, [&fired] { fired = true; }});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(fired);
-}
-
 // ---- the zero-allocation contract ------------------------------------------
 
 TEST(EventKernel, SmallCapturesScheduleWithoutHeapAllocation) {

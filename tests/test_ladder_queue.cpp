@@ -1,12 +1,12 @@
 // Property/fuzz tests for the ladder-queue FEL and the hybrid EventQueue
 // (sim/fel.hpp, sim/ladder_queue.hpp, sim/event_queue.hpp): randomized
-// push/pop/erase/update interleavings asserting pop-order and digest
-// equality between the heap, ladder, and hybrid backings against a
-// std::set reference — including equal-key ties, skewed/bursty timestamp
-// distributions, the zero-width-bucket pathological case, and pushes at
-// the edge of an exhausted rung — plus the allocation-free steady-state
-// contract (rung/bucket recycling) and the erase-of-minimum next_time()
-// regression.
+// push/pop interleavings asserting pop-order and digest equality between
+// the heap, ladder, and hybrid backings against a std::set reference —
+// including equal-key ties, skewed/bursty timestamp distributions, the
+// zero-width-bucket pathological case, pushes at the edge of an
+// exhausted rung, and repeated spill/un-spill migrations of a
+// small-threshold hybrid — plus the allocation-free steady-state
+// contract (rung/bucket recycling).
 
 #include <gtest/gtest.h>
 
@@ -188,13 +188,11 @@ std::array<FelConfig, kNumQueues> fuzz_configs() {
           FelConfig{FelConfig::Kind::kHybrid, 128}};
 }
 
-struct LiveEvent {
-  PopRecord rec;
-  std::array<EventQueue::EventHandle, kNumQueues> handles;
-};
-
-/// Drives an identical random push/pop/erase/update interleaving through
-/// all four backends; `next_push_time` shapes the timestamp distribution.
+/// Drives an identical random push/pop interleaving through all four
+/// backends; `next_push_time` shapes the timestamp distribution.  The
+/// push share alternates between 60% and 40% every 1024 steps, so the
+/// pending set climbs and drains by ~200 keys per phase: the 128-key
+/// hybrid must spill and un-spill within every run.
 template <typename NextTime>
 void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   Rng rng(seed);
@@ -202,26 +200,24 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   std::vector<EventQueue> queues;
   queues.reserve(kNumQueues);
   for (const auto& cfg : cfgs) queues.emplace_back(cfg);
+  EventQueue& small_hybrid = queues[kNumQueues - 1];
 
   std::set<PopRecord, decltype(&record_before)> ref(&record_before);
-  std::vector<LiveEvent> live;
   SimTime now = 0.0;
   EventSeq seq = 0;
+  int spills = 0;
+  int unspills = 0;
 
   for (int step = 0; step < steps; ++step) {
-    const double dice = rng.uniform01();
-    if (live.empty() || dice < 0.52) {  // push
+    const double push_share = (step / 1024) % 2 == 0 ? 0.6 : 0.4;
+    const bool was_spilled = small_hybrid.spilled();
+    if (ref.empty() || rng.uniform01() < push_share) {
       const SimTime t = now + next_push_time(rng);
       const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
-      LiveEvent ev;
-      ev.rec = PopRecord{t, prio, seq};
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        ev.handles[q] = queues[q].push(Event{t, prio, seq, [] {}});
-      }
-      ref.insert(ev.rec);
-      live.push_back(ev);
+      for (auto& q : queues) q.push(Event{t, prio, seq, [] {}});
+      ref.insert(PopRecord{t, prio, seq});
       ++seq;
-    } else if (dice < 0.84) {  // pop
+    } else {
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
       for (std::size_t q = 0; q < kNumQueues; ++q) {
@@ -231,44 +227,10 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
         ASSERT_EQ(got.priority, want.priority) << "queue " << q;
         ASSERT_EQ(got.seq, want.seq) << "queue " << q;
       }
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].rec.seq == want.seq) {
-          live[i] = live.back();
-          live.pop_back();
-          break;
-        }
-      }
       now = want.time;
-    } else if (dice < 0.94) {  // erase a random pending event
-      const auto idx =
-          static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
-      const LiveEvent victim = live[idx];
-      live[idx] = live.back();
-      live.pop_back();
-      ref.erase(victim.rec);
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        ASSERT_TRUE(queues[q].erase(victim.handles[q])) << "queue " << q;
-        ASSERT_FALSE(queues[q].erase(victim.handles[q]))
-            << "double erase must fail, queue " << q;
-      }
-    } else {  // reschedule a random pending event
-      const auto idx =
-          static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
-      LiveEvent& ev = live[idx];
-      const SimTime t = now + next_push_time(rng);
-      ref.erase(ev.rec);
-      ev.rec.time = t;
-      ev.rec.seq = seq;
-      ref.insert(ev.rec);
-      for (std::size_t q = 0; q < kNumQueues; ++q) {
-        const auto old = ev.handles[q];
-        ev.handles[q] = queues[q].update_key(old, t, seq);
-        ASSERT_TRUE(ev.handles[q].valid()) << "queue " << q;
-        ASSERT_FALSE(queues[q].erase(old))
-            << "stale handle must be dead, queue " << q;
-      }
-      ++seq;
     }
+    spills += !was_spilled && small_hybrid.spilled();
+    unspills += was_spilled && !small_hybrid.spilled();
 
     const SimTime want_next = ref.empty() ? kTimeInfinity : ref.begin()->time;
     for (std::size_t q = 0; q < kNumQueues; ++q) {
@@ -279,6 +241,8 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
       for (auto& q : queues) q.debug_validate();
     }
   }
+  EXPECT_GE(spills, 1) << "the 128-key hybrid never spilled";
+  EXPECT_GE(unspills, 1) << "the 128-key hybrid never un-spilled";
 
   // Drain: every queue hands out the identical remaining stream.
   while (!ref.empty()) {
@@ -338,60 +302,6 @@ TEST(EventQueueFuzz, ZeroWidthTimestamps) {
   // Every push at the current instant: the all-equal pathological case
   // end-to-end through the hybrid (buckets can never subdivide).
   run_backend_fuzz(404, 12000, [](Rng&) { return 0.0; });
-}
-
-// ---- satellite fix: erase of the minimum vs cached next_time ----------------
-
-TEST(EventQueueErase, EraseOfMinimumInvalidatesCachedNextTime) {
-  for (const auto& cfg : fuzz_configs()) {
-    EventQueue q(cfg);
-    const auto h1 = q.push(Event{1.0, EventPriority::kArrival, 0, [] {}});
-    (void)q.push(Event{2.0, EventPriority::kArrival, 1, [] {}});
-    const auto h3 = q.push(Event{3.0, EventPriority::kArrival, 2, [] {}});
-    ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-    // The regression: erasing the head must re-derive the cache, not
-    // leave it pointing at the dead event.
-    ASSERT_TRUE(q.erase(h1));
-    ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
-    q.debug_validate();
-    // Erasing a non-minimum leaves the cache alone...
-    ASSERT_TRUE(q.erase(h3));
-    ASSERT_DOUBLE_EQ(q.next_time(), 2.0);
-    EXPECT_EQ(q.size(), 1u);
-    // ...and the tombstone never surfaces through pop.
-    const Event got = q.pop();
-    EXPECT_EQ(got.seq, 1u);
-    EXPECT_TRUE(q.empty());
-    EXPECT_DOUBLE_EQ(q.next_time(), kTimeInfinity);
-    q.debug_validate();
-  }
-}
-
-TEST(EventQueueErase, UpdateKeyMovesEventAndCachedTime) {
-  for (const auto& cfg : fuzz_configs()) {
-    EventQueue q(cfg);
-    auto ha = q.push(Event{5.0, EventPriority::kMessage, 0, [] {}});
-    (void)q.push(Event{7.0, EventPriority::kMessage, 1, [] {}});
-    // Reschedule the minimum later: the cache must follow.
-    ha = q.update_key(ha, 9.0, 2);
-    ASSERT_TRUE(ha.valid());
-    ASSERT_DOUBLE_EQ(q.next_time(), 7.0);
-    // Reschedule it earliest again.
-    ha = q.update_key(ha, 1.0, 3);
-    ASSERT_DOUBLE_EQ(q.next_time(), 1.0);
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().seq, 3u);
-    EXPECT_EQ(q.pop().seq, 1u);
-    q.debug_validate();
-  }
-}
-
-TEST(EventQueueErase, HandlesDieOnPop) {
-  EventQueue q;
-  const auto h = q.push(Event{1.0, EventPriority::kControl, 0, [] {}});
-  (void)q.pop();
-  EXPECT_FALSE(q.erase(h));
-  EXPECT_FALSE(q.update_key(h, 2.0, 1).valid());
 }
 
 // ---- hybrid spill / un-spill ------------------------------------------------

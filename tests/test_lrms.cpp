@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/lrms.hpp"
+#include "cluster/utilization.hpp"
 #include "sim/check.hpp"
 #include "sim/simulation.hpp"
 
@@ -31,7 +32,7 @@ struct Fixture {
   std::vector<CompletedJob> done;
 
   explicit Fixture(QueuePolicy policy = QueuePolicy::kFcfs)
-      : lrms(sim, 0, small_cluster(), 0, policy) {
+      : lrms(sim, small_cluster(), 0, policy) {
     lrms.set_completion_handler(
         [this](const CompletedJob& c) { done.push_back(c); });
   }
@@ -169,6 +170,33 @@ TEST(Lrms, DeadlineGuaranteeHoldsUnderLoad) {
     ASSERT_NE(it, promises.end());
     EXPECT_DOUBLE_EQ(c.reservation.completion, it->second);
   }
+}
+
+TEST(Utilization, FullBusyIsOne) {
+  UtilizationIntegrator u(4);
+  u.set_busy(0.0, 4);
+  EXPECT_DOUBLE_EQ(u.utilization(10.0), 1.0);
+}
+
+TEST(Utilization, PiecewiseIntegral) {
+  UtilizationIntegrator u(10);
+  u.set_busy(0.0, 5);   // [0,4): 5 busy
+  u.set_busy(4.0, 10);  // [4,8): 10 busy
+  u.set_busy(8.0, 0);   // [8,10): idle
+  // area = 5*4 + 10*4 = 60; capacity*horizon = 100.
+  EXPECT_DOUBLE_EQ(u.utilization(10.0), 0.6);
+}
+
+TEST(Utilization, BusyAreaExtrapolatesCurrentSegment) {
+  UtilizationIntegrator u(2);
+  u.set_busy(0.0, 1);
+  EXPECT_DOUBLE_EQ(u.busy_area(5.0), 5.0);
+  EXPECT_DOUBLE_EQ(u.busy_area(10.0), 10.0);
+}
+
+TEST(Utilization, ZeroHorizonIsZero) {
+  UtilizationIntegrator u(2);
+  EXPECT_DOUBLE_EQ(u.utilization(0.0), 0.0);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "sim/check.hpp"
 #include "sim/distributions.hpp"
-#include "sim/entity.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -121,27 +120,6 @@ TEST(Simulation, EventsScheduledDuringRunExecute) {
   sim.run();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-}
-
-TEST(Simulation, DrainDiscardsPending) {
-  Simulation sim;
-  int fired = 0;
-  sim.schedule_at(1.0, EventPriority::kControl, [&] { ++fired; });
-  sim.drain();
-  sim.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(Entity, ExposesIdentityAndClock) {
-  Simulation sim;
-  class Probe : public Entity {
-   public:
-    using Entity::Entity;
-  };
-  Probe p(sim, 7, "probe");
-  EXPECT_EQ(p.id(), 7u);
-  EXPECT_EQ(p.name(), "probe");
-  EXPECT_DOUBLE_EQ(p.now(), 0.0);
 }
 
 // ---- RNG ------------------------------------------------------------------

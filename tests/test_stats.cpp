@@ -1,5 +1,5 @@
-// Unit tests for the stats subsystem: accumulators, the utilization
-// integrator, table rendering and CSV escaping.
+// Unit tests for the stats subsystem: accumulators, table rendering and
+// CSV escaping.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "stats/accumulator.hpp"
 #include "stats/csv.hpp"
 #include "stats/table.hpp"
-#include "stats/utilization.hpp"
 
 namespace gridfed::stats {
 namespace {
@@ -63,33 +62,6 @@ TEST(Accumulator, MergeWithEmptyIsNoop) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
-}
-
-TEST(Utilization, FullBusyIsOne) {
-  UtilizationIntegrator u(4);
-  u.set_busy(0.0, 4);
-  EXPECT_DOUBLE_EQ(u.utilization(10.0), 1.0);
-}
-
-TEST(Utilization, PiecewiseIntegral) {
-  UtilizationIntegrator u(10);
-  u.set_busy(0.0, 5);   // [0,4): 5 busy
-  u.set_busy(4.0, 10);  // [4,8): 10 busy
-  u.set_busy(8.0, 0);   // [8,10): idle
-  // area = 5*4 + 10*4 = 60; capacity*horizon = 100.
-  EXPECT_DOUBLE_EQ(u.utilization(10.0), 0.6);
-}
-
-TEST(Utilization, BusyAreaExtrapolatesCurrentSegment) {
-  UtilizationIntegrator u(2);
-  u.set_busy(0.0, 1);
-  EXPECT_DOUBLE_EQ(u.busy_area(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(u.busy_area(10.0), 10.0);
-}
-
-TEST(Utilization, ZeroHorizonIsZero) {
-  UtilizationIntegrator u(2);
-  EXPECT_DOUBLE_EQ(u.utilization(0.0), 0.0);
 }
 
 TEST(Table, RendersAlignedColumns) {
