@@ -86,6 +86,46 @@ void BM_SimulationEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventDispatch);
 
+// A zero-latency cascade: each of 10,000 events schedules its successor
+// at now() — a delivery scheduling its reply — over 0 or 16,384
+// background keys pending in the future (the larger set keeps the hybrid
+// FEL spilled to the ladder).  The same-instant lanes serve the whole
+// chain without touching the heap or the ladder, so the two columns
+// should cost the same; bench/README.md "Same-instant lanes" has the
+// before/after ratio.
+void BM_SimulationSameInstantChain(benchmark::State& state) {
+  struct Chain {
+    sim::Simulation* sim;
+    int left;
+    void step() {
+      if (--left > 0) {
+        sim->schedule_at(sim->now(), sim::EventPriority::kMessage,
+                         [this] { step(); });
+      }
+    }
+  };
+  const auto background = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  for (int i = 0; i < background; ++i) {
+    sim.schedule_at(1e12 + i, sim::EventPriority::kControl, [] {});
+  }
+  Chain chain{&sim, 0};
+  sim::SimTime at = 1.0;
+  for (auto _ : state) {
+    chain.left = 10000;
+    sim.schedule_at(at, sim::EventPriority::kMessage,
+                    [&chain] { chain.step(); });
+    sim.run_until(at);
+    at += 1.0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          10000);
+}
+BENCHMARK(BM_SimulationSameInstantChain)
+    ->ArgName("background")
+    ->Arg(0)
+    ->Arg(16384);
+
 #if GRIDFED_TRACE
 // The observability overhead pair: dispatch with the probe slot present
 // but null (runtime-disabled tracing — the default production state)

@@ -85,6 +85,7 @@ Federation::Federation(FederationConfig config,
       // Each sample's message/byte columns come straight from the
       // authoritative ledger (never double-counted by instrumentation),
       // so the closing sample equals FederationResult's totals exactly.
+      // The gauges read the open books and the kernel's FEL counters.
       static_assert(obs::kMessageTypeCount == kMessageTypeCount,
                     "obs sizes its per-type columns by MessageType");
       metrics->set_ledger_sampler([this](obs::MetricsSample& sample) {
@@ -101,8 +102,15 @@ Federation::Federation(FederationConfig config,
         for (const auto& agent : gfas_) {
           open += agent->scheduling_policy().open_auctions();
         }
-        sample.gauges[static_cast<std::size_t>(obs::Gauge::kOpenBooks)] =
-            open;
+        const auto gauge = [&sample](obs::Gauge g) -> std::uint64_t& {
+          return sample.gauges[static_cast<std::size_t>(g)];
+        };
+        gauge(obs::Gauge::kOpenBooks) = open;
+        const sim::FelStats& fel = sim_.fel_stats();
+        gauge(obs::Gauge::kFelPeakKeys) = fel.peak_keys;
+        gauge(obs::Gauge::kFelSpills) = fel.spills;
+        gauge(obs::Gauge::kFelUnspills) = fel.unspills;
+        gauge(obs::Gauge::kFelLanePops) = fel.lane_pops;
       });
     }
   }
@@ -262,9 +270,12 @@ void Federation::load_workload(
     const std::vector<workload::ResourceTrace>& traces,
     std::optional<workload::PopulationProfile> profile) {
   GF_EXPECTS(!ran_);
+  arrivals_.resize(specs_.size());
   for (const auto& trace : traces) {
     GF_EXPECTS(trace.resource < specs_.size());
     const auto& origin_spec = specs_[trace.resource];
+    std::vector<ArrivalStream::Entry>& stream = arrivals_[trace.resource].jobs;
+    stream.reserve(stream.size() + trace.jobs.size());
     for (const auto& raw : trace.jobs) {
       cluster::Job job = workload::to_job(raw, next_job_id_++, trace.resource,
                                           origin_spec, cfg_.comm_fraction);
@@ -272,13 +283,27 @@ void Federation::load_workload(
       if (profile) {
         job.opt = profile->preference(job.origin, job.user, cfg_.seed);
       }
+      GF_EXPECTS(job.submit >= sim_.now());
       ++jobs_loaded_;
-      Gfa* agent = gfas_[trace.resource].get();
-      sim_.schedule_at(job.submit, sim::EventPriority::kArrival,
-                       [agent, job = std::move(job)] {
-                         agent->submit_local(job);
-                       });
+      stream.push_back({sim_.reserve_seq(), std::move(job)});
     }
+  }
+}
+
+void Federation::arm_arrival(cluster::ResourceIndex origin) {
+  const ArrivalStream::Entry& entry =
+      arrivals_[origin].jobs[arrivals_[origin].next];
+  sim_.schedule_reserved(entry.job.submit, sim::EventPriority::kArrival,
+                         entry.seq, [this, origin] { arrive(origin); });
+}
+
+void Federation::arrive(cluster::ResourceIndex origin) {
+  ArrivalStream& stream = arrivals_[origin];
+  gfas_[origin]->submit_local(std::move(stream.jobs[stream.next].job));
+  if (++stream.next < stream.jobs.size()) {
+    arm_arrival(origin);
+  } else {
+    stream = ArrivalStream{};
   }
 }
 
@@ -286,6 +311,19 @@ FederationResult Federation::run() {
   GF_EXPECTS(!ran_);
   ran_ = true;
   outcomes_.reserve(jobs_loaded_);
+  // Each origin's stream in dispatch order: by submit time, then by the
+  // seq reserved at load (an earlier load_workload call, or an earlier
+  // position in its trace, goes first at a tie).
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    auto& jobs = arrivals_[i].jobs;
+    if (jobs.empty()) continue;
+    std::sort(jobs.begin(), jobs.end(),
+              [](const ArrivalStream::Entry& a, const ArrivalStream::Entry& b) {
+                return a.job.submit != b.job.submit ? a.job.submit < b.job.submit
+                                                    : a.seq < b.seq;
+              });
+    arm_arrival(static_cast<cluster::ResourceIndex>(i));
+  }
 #if GRIDFED_TRACE
   // The kernel dispatch probe: a captureless shim forwarding to the
   // metrics registry, so the kernel never learns about the obs layer.

@@ -60,7 +60,12 @@ class Federation final : public GfaHost,
 
   /// Converts raw traces into federation jobs (Eqs. 1-3 split, Eqs. 7/8
   /// QoS fabrication), applies the population profile (economy runs), and
-  /// schedules every arrival.  May be called multiple times before run().
+  /// appends each job to its origin's arrival stream under an event seq
+  /// reserved now, in load order.  run() keeps one pending arrival per
+  /// origin; each arrival submits its job and arms the origin's next.
+  /// The reserved seqs make arrivals pop as if all were scheduled here:
+  /// by submit time, then load order.  May be called multiple times
+  /// before run().
   void load_workload(const std::vector<workload::ResourceTrace>& traces,
                      std::optional<workload::PopulationProfile> profile);
 
@@ -177,6 +182,11 @@ class Federation final : public GfaHost,
 
  private:
   void arm_periodic_behaviours();
+  /// Schedules `origin`'s next arrival under its reserved seq.
+  void arm_arrival(cluster::ResourceIndex origin);
+  /// The arrival event: submits the job, arms the next, and frees the
+  /// stream's storage once it is exhausted.
+  void arrive(cluster::ResourceIndex origin);
   [[nodiscard]] FederationResult aggregate() const;
 
   // ---- transport::TransportContext --------------------------------------
@@ -243,6 +253,19 @@ class Federation final : public GfaHost,
   /// metrics sampler can be armed alongside the other periodic events.
   std::unique_ptr<obs::Observer> observer_;
 #endif
+  /// One origin's loaded jobs, each under the seq reserved for it by
+  /// load_workload; run() sorts them by (submit, seq) and `next` walks
+  /// them.  An arrival event captures only {this, origin}, so it
+  /// schedules without a heap box.
+  struct ArrivalStream {
+    struct Entry {
+      sim::EventSeq seq;
+      cluster::Job job;
+    };
+    std::vector<Entry> jobs;
+    std::size_t next = 0;
+  };
+  std::vector<ArrivalStream> arrivals_;  ///< indexed by origin
   std::vector<JobOutcome> outcomes_;
   stats::AuctionStats auction_stats_;
   std::vector<double> util_at_window_;

@@ -90,6 +90,11 @@ inline constexpr std::size_t kCounterCount =
 
 enum class Gauge : std::uint8_t {
   kOpenBooks = 0,  ///< auction books currently awaiting clearing
+  // The kernel's future-event list (sim::FelStats), read at each sample.
+  kFelPeakKeys,    ///< largest pending-event count seen at a dispatch
+  kFelSpills,      ///< heap -> ladder migrations so far
+  kFelUnspills,    ///< ladder -> heap migrations so far
+  kFelLanePops,    ///< events dispatched from a same-instant lane so far
   kCount,
 };
 inline constexpr std::size_t kGaugeCount =
@@ -98,6 +103,10 @@ inline constexpr std::size_t kGaugeCount =
 [[nodiscard]] constexpr const char* to_string(Gauge g) noexcept {
   switch (g) {
     case Gauge::kOpenBooks: return "open_books";
+    case Gauge::kFelPeakKeys: return "fel_peak_keys";
+    case Gauge::kFelSpills: return "fel_spills";
+    case Gauge::kFelUnspills: return "fel_unspills";
+    case Gauge::kFelLanePops: return "fel_lane_pops";
     case Gauge::kCount: break;
   }
   return "?";

@@ -42,9 +42,9 @@ namespace detail {
   } while (false)
 
 /// Debug-build kernel-consistency check.  The event kernel's cached
-/// state (EventQueue's `next_time_` and its choice of active backing
-/// structure) is re-derived from the backing structure after every
-/// mutating op when this is on.  Follows NDEBUG so the
+/// state (EventQueue's `next_key_`, its lane bookkeeping and its choice
+/// of active backing structure) is re-derived from the structures after
+/// every mutating op when this is on.  Follows NDEBUG so the
 /// sanitizer CI jobs (Debug builds) run fully checked while Release hot
 /// loops compile the re-derivation out; structures additionally expose
 /// an always-compiled `debug_validate()` so Release test binaries can

@@ -5,8 +5,11 @@
 // (e.g. a caller that only reads the popped time never materializes the
 // decoded priority/seq).  The spilled_ branch predicts perfectly in
 // steady state — a queue flips it once per migration, not per event.
+// The lane branch follows the run: a zero-latency run takes it for most
+// pushes and pops, a WAN run almost never.
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/check.hpp"
@@ -23,7 +26,7 @@ inline void EventQueue::push(Event ev) {
   GF_EXPECTS(ev.seq < (std::uint64_t{1} << kFelSeqBits));
   // The pack reserves 2 bits for the priority; a grown enum must not
   // silently truncate into a different ordering class.
-  static_assert(static_cast<int>(EventPriority::kControl) < 4,
+  static_assert(static_cast<std::size_t>(EventPriority::kControl) < kLanes,
                 "EventPriority no longer fits the 2-bit key field");
 
   // Park the callback in a stable slot; only the 16-byte key enters the
@@ -38,31 +41,77 @@ inline void EventQueue::push(Event ev) {
   }
   GF_EXPECTS(slot < (std::uint32_t{1} << kFelSlotBits));
 
-  const std::uint64_t low =
-      (static_cast<std::uint64_t>(ev.priority) << (kFelSeqBits + kFelSlotBits)) |
-      (ev.seq << kFelSlotBits) | slot;
+  const auto prio = static_cast<std::uint64_t>(ev.priority);
+  const std::uint64_t low = (prio << (kFelSeqBits + kFelSlotBits)) |
+                            (ev.seq << kFelSlotBits) | slot;
   slots_[slot].action = std::move(ev.action);
   const FelKey key =
       (static_cast<FelKey>(std::bit_cast<std::uint64_t>(ev.time)) << 64) | low;
 
-  if (spilled_) {
+  Lane& lane = lanes_[prio];
+  if (ev.time == instant_ && (lane.keys.empty() || lane.keys.back() < key)) {
+    lane.keys.push_back(key);
+    lane_mask_ |= 1u << prio;
+    ++lane_keys_;
+  } else if (spilled_) {
     ladder_.push(key);
   } else {
     heap_.push(key);
     maybe_spill();
   }
-  // The cached time folds in with one compare — no min_key() call,
+  // The cached minimum folds in with one compare — no min_key() call,
   // which keeps ladder pushes O(1) (min_key may sort a bucket).
-  if (ev.time < next_time_) next_time_ = ev.time;
+  if (key < next_key_) next_key_ = key;
   GF_SIM_CHECK(consistent());
 }
 
-inline FelKey EventQueue::pop_key(InlineFunction& action) {
+inline FelKey EventQueue::pop_main() {
   const FelKey top = active_pop();
+  if (main_size() == 0) {
+    // A drained ladder resets its rungs; a hybrid queue also returns to
+    // the heap here — the cheapest possible un-spill point.
+    if (spilled_) {
+      ladder_.clear();
+      if (cfg_.kind == FelConfig::Kind::kHybrid) {
+        spilled_ = false;
+        ++stats_.unspills;
+      }
+    }
+  } else {
+    maybe_unspill();
+  }
+  // The lanes follow the clock only while empty: every lane key then
+  // shares one time, which is what makes the first lane's head the
+  // smallest lane key.
+  if (lane_mask_ == 0) instant_ = fel_time_of(top);
+  return top;
+}
+
+inline FelKey EventQueue::pop_key(InlineFunction& action) {
+  FelKey top;
+  Lane* lane = lane_mask_ != 0 ? &lanes_[std::countr_zero(lane_mask_)]
+                               : nullptr;
+  if (lane != nullptr && lane->keys[lane->head] == next_key_) {
+    top = lane->keys[lane->head++];
+    --lane_keys_;
+    if (lane->head == lane->keys.size()) {
+      lane->keys.clear();
+      lane->head = 0;
+      lane_mask_ &= lane_mask_ - 1;  // the lowest set bit is this lane's
+    }
+#if GRIDFED_TRACE
+    ++stats_.lane_pops;
+#endif
+  } else {
+    top = pop_main();
+  }
   const std::uint32_t slot = fel_slot_of(top);
   action = std::move(slots_[slot].action);
   free_slots_.push_back(slot);
-  after_remove();
+  refresh_next();
+#if GRIDFED_TRACE
+  if (size() > stats_.peak_keys) stats_.peak_keys = size();
+#endif
   GF_SIM_CHECK(consistent());
   return top;
 }
@@ -85,20 +134,25 @@ inline Event EventQueue::pop() {
   return ev;
 }
 
-inline void EventQueue::after_remove() {
-  if (empty()) {
-    // A drained ladder resets its rungs; a hybrid queue also returns to
-    // the heap here — the cheapest possible un-spill point.
-    if (spilled_) {
-      ladder_.clear();
-      if (cfg_.kind == FelConfig::Kind::kHybrid) spilled_ = false;
+inline void EventQueue::refresh_next() {
+  FelKey next;
+  bool from_main = main_size() != 0;
+  if (lane_mask_ == 0) {
+    if (!from_main) {
+      next_key_ = kNoKey;
+      return;
     }
-    next_time_ = kTimeInfinity;
-    return;
+    next = active_min();
+  } else {
+    const Lane& lane = lanes_[std::countr_zero(lane_mask_)];
+    next = lane.keys[lane.head];
+    if (from_main) {
+      const FelKey main_min = active_min();
+      from_main = main_min < next;
+      if (from_main) next = main_min;
+    }
   }
-  maybe_unspill();
-  const FelKey next = active_min();
-  next_time_ = fel_time_of(next);
+  next_key_ = next;
   // The next dispatch will move this slot's record out; its line is a
   // guaranteed miss on large pending sets (slots are read in key order,
   // i.e. randomly).  Start the fetch now so it overlaps the caller's
@@ -107,7 +161,7 @@ inline void EventQueue::after_remove() {
   // enough to cover a full miss latency; repeat prefetches of a line
   // already in flight are near-free.
   __builtin_prefetch(&slots_[fel_slot_of(next)], 1);
-  if (spilled_) {
+  if (from_main && spilled_) {
     const std::size_t depth = std::min<std::size_t>(
         ladder_.materialized_run(), kPrefetchDepth);
     for (std::size_t i = 1; i < depth; ++i) {

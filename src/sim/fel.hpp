@@ -75,7 +75,8 @@ struct FelConfig {
   };
   Kind kind = Kind::kHybrid;
 
-  /// Pending-key count at which a hybrid queue migrates heap → ladder.
+  /// Main-structure key count (same-instant lane keys excluded) at which
+  /// a hybrid queue migrates heap → ladder.
   /// ~8192 keys = 128 KB of keys: past the L1 the heap's pop becomes a
   /// dependent-load heapsort (the 16384 cliff in BENCH_kernel_micro).
   std::size_t spill_threshold = 8192;

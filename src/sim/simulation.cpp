@@ -11,6 +11,14 @@ void Simulation::schedule_at(SimTime t, EventPriority prio,
   queue_.push(Event{t, prio, next_seq_++, std::move(action)});
 }
 
+void Simulation::schedule_reserved(SimTime t, EventPriority prio,
+                                   EventSeq seq, EventAction action) {
+  GF_EXPECTS(t >= now_);
+  GF_EXPECTS(seq < next_seq_);
+  GF_EXPECTS(static_cast<bool>(action));
+  queue_.push(Event{t, prio, seq, std::move(action)});
+}
+
 void Simulation::schedule_in(SimTime delay, EventPriority prio,
                              EventAction action) {
   GF_EXPECTS(delay >= 0.0);

@@ -11,13 +11,6 @@
 #include "sim/inline_function.hpp"
 #include "sim/types.hpp"
 
-// Compile-time observability gate (mirrored in obs/observer.hpp so the
-// kernel stays independent of the obs layer).  Default ON; build with
-// -DGRIDFED_TRACE=0 to compile the dispatch probe out entirely.
-#ifndef GRIDFED_TRACE
-#define GRIDFED_TRACE 1
-#endif
-
 namespace gridfed::sim {
 
 /// The closure type the engine schedules.  Small trivially copyable
@@ -54,6 +47,18 @@ class Simulation {
   /// Schedules `action` after a delay (>= 0) from now().
   void schedule_in(SimTime delay, EventPriority prio, EventAction action);
 
+  /// Takes the next sequence number now for an event scheduled later with
+  /// schedule_reserved().  The event then ties with the events scheduled
+  /// around it exactly as if it had been scheduled at this call.  A job
+  /// stream uses it to keep one pending arrival per origin while every
+  /// arrival pops in load order among equal-time arrivals.
+  [[nodiscard]] EventSeq reserve_seq() noexcept { return next_seq_++; }
+
+  /// Schedules `action` at `t` (>= now()) under a seq from reserve_seq().
+  /// Each reserved seq is used at most once (not checked).
+  void schedule_reserved(SimTime t, EventPriority prio, EventSeq seq,
+                         EventAction action);
+
   /// Runs until the event list is empty.  Returns the final clock value.
   SimTime run();
 
@@ -88,6 +93,11 @@ class Simulation {
   /// Number of events currently pending.
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return queue_.size();
+  }
+
+  /// The future-event list's peak, migration and lane counters.
+  [[nodiscard]] const FelStats& fel_stats() const noexcept {
+    return queue_.stats();
   }
 
  private:

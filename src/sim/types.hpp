@@ -4,6 +4,14 @@
 #include <cstdint>
 #include <limits>
 
+// Compile-time observability gate (mirrored in obs/observer.hpp so the
+// kernel stays independent of the obs layer).  Default ON; build with
+// -DGRIDFED_TRACE=0 to compile the dispatch probe and the kernel's
+// per-pop FEL counters out entirely.
+#ifndef GRIDFED_TRACE
+#define GRIDFED_TRACE 1
+#endif
+
 namespace gridfed::sim {
 
 /// Simulation clock value, in simulated seconds.  The paper reports

@@ -1,7 +1,8 @@
 // Tests for the zero-allocation event kernel: InlineFunction small-buffer
 // semantics, the 4-ary heap's deterministic (time, priority, seq) pop
 // order under randomized workloads, the pop_into hot path, and the
-// no-heap-traffic contract for small trivially copyable captures.
+// no-heap-traffic contract for small trivially copyable captures and
+// for same-instant dispatch through the FIFO lanes.
 
 #include <gtest/gtest.h>
 
@@ -296,6 +297,44 @@ TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u) << "dispatch hot path allocated";
   EXPECT_EQ(acc, 512u);
+}
+
+TEST(EventKernel, SameInstantDispatchIsAllocationFreeInSteadyState) {
+  // The zero-latency pattern: each event schedules its successor at
+  // now(), behind a few future keys.  The successors ride the
+  // same-instant lanes; once the lanes and slots have reached their
+  // high-water mark, a chain allocates nothing.
+  struct Chain {
+    Simulation* sim;
+    int left;
+    void step() {
+      if (--left > 0) {
+        sim->schedule_at(sim->now(), EventPriority::kMessage,
+                         [this] { step(); });
+      }
+    }
+  };
+  Simulation sim;
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(1e9 + i, EventPriority::kControl, [] {});
+  }
+  Chain chain{&sim, 0};
+  const auto run_chain = [&sim, &chain](SimTime at) {
+    chain.left = 4096;
+    sim.schedule_at(at, EventPriority::kMessage, [&chain] { chain.step(); });
+    sim.run_until(at);
+  };
+  run_chain(1.0);  // warm-up
+  const std::uint64_t before = g_allocations.load();
+  run_chain(2.0);
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << "same-instant dispatch allocated";
+  EXPECT_EQ(chain.left, 0);
+  EXPECT_EQ(sim.pending_events(), 64u);
+#if GRIDFED_TRACE
+  // Every successor was a lane pop; the chain heads came off the heap.
+  EXPECT_EQ(sim.fel_stats().lane_pops, 2u * 4095u);
+#endif
 }
 
 #if GRIDFED_TRACE

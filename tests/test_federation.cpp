@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/federation.hpp"
 #include "economy/pricing.hpp"
+#include "sim/hash.hpp"
 #include "workload/trace.hpp"
 
 namespace gridfed::core {
@@ -238,6 +240,108 @@ TEST(Federation, NetworkLatencyDelaysButPreservesOutcomes) {
   EXPECT_EQ(result.total_accepted, 1u);
   EXPECT_EQ(result.resources[1].migrated, 1u);
   EXPECT_EQ(result.total_messages, 4u);
+}
+
+// ---- streamed arrivals ------------------------------------------------------
+// Each origin keeps one pending arrival; every arrival pops under the seq
+// reserved for it at load, so the order is the preloaded one: by submit
+// time, then by load order.
+
+workload::ResourceTrace trace_of(
+    cluster::ResourceIndex resource,
+    std::vector<workload::TraceJob> jobs) {
+  workload::ResourceTrace t;
+  t.resource = resource;
+  t.jobs = std::move(jobs);
+  return t;
+}
+
+std::vector<cluster::ResourceSpec> three_clusters() {
+  std::vector<cluster::ResourceSpec> specs = {
+      {"a", 16, 250.0, 1.0, 0.0},
+      {"b", 8, 400.0, 1.0, 0.0},
+      {"c", 8, 300.0, 1.0, 0.0},
+  };
+  economy::apply_commodity_pricing(specs, 4.0);
+  return specs;
+}
+
+std::uint64_t outcome_digest(const std::vector<JobOutcome>& outcomes) {
+  std::vector<const JobOutcome*> rows;
+  for (const JobOutcome& o : outcomes) rows.push_back(&o);
+  std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+    return a->job.id < b->job.id;
+  });
+  std::uint64_t h = sim::kFnvOffsetBasis;
+  for (const JobOutcome* o : rows) {
+    h = sim::fnv1a_mix(h, o->job.id);
+    h = sim::fnv1a_mix(h, static_cast<std::uint64_t>(o->accepted));
+    h = sim::fnv1a_mix(h, static_cast<std::uint64_t>(o->executed_on));
+    h = sim::fnv1a_mix(h, o->start);
+    h = sim::fnv1a_mix(h, o->completion);
+    h = sim::fnv1a_mix(h, o->cost);
+    h = sim::fnv1a_mix(h, static_cast<std::uint64_t>(o->negotiations));
+    h = sim::fnv1a_mix(h, o->messages);
+  }
+  return h;
+}
+
+TEST(FederationArrivals, StreamKeepsThePreloadedOrder) {
+  // Two load_workload calls; equal submit times across origins and
+  // within one origin; jobs at t = 0; a trace out of submit order; and
+  // a second call that adds jobs earlier than some of the first call's.
+  // The clusters are small enough that the arrival order decides who
+  // gets the processors.  The digest was recorded from the kernel that
+  // scheduled every arrival at load time.
+  Federation fed(econ_config(), three_clusters());
+  fed.load_workload({trace_of(0, {{100.0, 500.0, 8, 0},
+                                  {0.0, 400.0, 8, 1},
+                                  {0.0, 300.0, 8, 2},
+                                  {100.0, 200.0, 8, 3},
+                                  {50.0, 600.0, 16, 4}}),
+                     trace_of(1, {{0.0, 300.0, 8, 0},
+                                  {100.0, 400.0, 4, 1},
+                                  {100.0, 100.0, 8, 2}}),
+                     trace_of(2, {{50.0, 200.0, 8, 0}})},
+                    workload::PopulationProfile{50});
+  fed.load_workload({trace_of(0, {{0.0, 250.0, 8, 5}, {50.0, 150.0, 8, 6}}),
+                     trace_of(2, {{0.0, 350.0, 8, 1}, {100.0, 450.0, 8, 2}}),
+                     trace_of(1, {{50.0, 500.0, 8, 3}})},
+                    workload::PopulationProfile{50});
+  const auto result = fed.run();
+  ASSERT_EQ(result.total_jobs, 14u);
+  EXPECT_GT(result.total_messages, 0u);
+  EXPECT_EQ(outcome_digest(fed.outcomes()), 0xcccfb40e68cd47dcull);
+}
+
+TEST(FederationArrivals, PendingEventsGrowWithOriginsNotJobs) {
+  // Loading preloads nothing; run() arms one arrival per origin.  A
+  // kCompletion event at t = 0 dispatches first and reads the pending
+  // set with every stream armed.
+  const auto pending_at_start = [](std::size_t jobs_per_origin) {
+    Federation fed(econ_config(), three_clusters());
+    const std::size_t before = fed.simulation().pending_events();
+    std::vector<workload::ResourceTrace> traces;
+    for (cluster::ResourceIndex r = 0; r < 3; ++r) {
+      std::vector<workload::TraceJob> jobs;
+      for (std::size_t i = 0; i < jobs_per_origin; ++i) {
+        jobs.push_back({10.0 * static_cast<double>(i), 50.0, 1, 0});
+      }
+      traces.push_back(trace_of(r, std::move(jobs)));
+    }
+    fed.load_workload(traces, workload::PopulationProfile{0});
+    EXPECT_EQ(fed.simulation().pending_events(), before);
+    std::size_t at_start = 0;
+    fed.simulation().schedule_at(0.0, sim::EventPriority::kCompletion,
+                                 [&fed, &at_start] {
+                                   at_start = fed.simulation().pending_events();
+                                 });
+    (void)fed.run();
+    EXPECT_EQ(fed.outcomes().size(), 3 * jobs_per_origin);
+    return at_start - before;
+  };
+  EXPECT_EQ(pending_at_start(2), 3u);
+  EXPECT_EQ(pending_at_start(200), 3u);
 }
 
 TEST(Federation, RunTwiceRejected) {

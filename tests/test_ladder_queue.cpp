@@ -4,12 +4,14 @@
 // the heap, ladder, and hybrid backings against a std::set reference —
 // including equal-key ties, skewed/bursty timestamp distributions, the
 // zero-width-bucket pathological case, pushes at the edge of an
-// exhausted rung, and repeated spill/un-spill migrations of a
-// small-threshold hybrid — plus the allocation-free steady-state
-// contract (rung/bucket recycling).
+// exhausted rung, repeated spill/un-spill migrations of a
+// small-threshold hybrid, and same-instant lane pushes mixed with
+// reserved-seq pushes — plus the allocation-free steady-state contract
+// (rung/bucket recycling).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -192,10 +194,27 @@ std::array<FelConfig, kNumQueues> fuzz_configs() {
 /// backends; `next_push_time` shapes the timestamp distribution.  The
 /// push share alternates between 60% and 40% every 1024 steps, so the
 /// pending set climbs and drains by ~200 keys per phase: the 128-key
-/// hybrid must spill and un-spill within every run.
+/// hybrid must spill and un-spill within every run.  A `reserved_share`
+/// of the pushes takes its seq from a shuffled pool set aside before the
+/// first push (as Simulation::reserve_seq does for streamed arrivals):
+/// older than every fresh seq, so never appended behind a lane's tail.
+/// `min_lane_pops`, if given, receives the fewest lane pops any backend
+/// served.
 template <typename NextTime>
-void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
+void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time,
+                      double reserved_share = 0.0,
+                      std::uint64_t* min_lane_pops = nullptr) {
   Rng rng(seed);
+  std::vector<EventSeq> reserved;
+  if (reserved_share > 0.0) {
+    reserved.resize(static_cast<std::size_t>(steps));
+    for (std::size_t i = 0; i < reserved.size(); ++i) reserved[i] = i;
+    for (std::size_t i = reserved.size(); i > 1; --i) {
+      std::swap(reserved[i - 1],
+                reserved[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i - 1)))]);
+    }
+  }
   const auto cfgs = fuzz_configs();
   std::vector<EventQueue> queues;
   queues.reserve(kNumQueues);
@@ -204,7 +223,7 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
 
   std::set<PopRecord, decltype(&record_before)> ref(&record_before);
   SimTime now = 0.0;
-  EventSeq seq = 0;
+  EventSeq seq = reserved.size();
   int spills = 0;
   int unspills = 0;
 
@@ -214,9 +233,15 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
     if (ref.empty() || rng.uniform01() < push_share) {
       const SimTime t = now + next_push_time(rng);
       const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
-      for (auto& q : queues) q.push(Event{t, prio, seq, [] {}});
-      ref.insert(PopRecord{t, prio, seq});
-      ++seq;
+      EventSeq s = seq;
+      if (!reserved.empty() && rng.uniform01() < reserved_share) {
+        s = reserved.back();
+        reserved.pop_back();
+      } else {
+        ++seq;
+      }
+      for (auto& q : queues) q.push(Event{t, prio, s, [] {}});
+      ref.insert(PopRecord{t, prio, s});
     } else {
       const PopRecord want = *ref.begin();
       ref.erase(ref.begin());
@@ -243,6 +268,10 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   }
   EXPECT_GE(spills, 1) << "the 128-key hybrid never spilled";
   EXPECT_GE(unspills, 1) << "the 128-key hybrid never un-spilled";
+  // The queue's own migration counters saw exactly the same flips.
+  EXPECT_EQ(small_hybrid.stats().spills, static_cast<std::uint64_t>(spills));
+  EXPECT_EQ(small_hybrid.stats().unspills,
+            static_cast<std::uint64_t>(unspills));
 
   // Drain: every queue hands out the identical remaining stream.
   while (!ref.empty()) {
@@ -256,6 +285,9 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time) {
   for (auto& q : queues) {
     EXPECT_TRUE(q.empty());
     q.debug_validate();
+    if (min_lane_pops != nullptr) {
+      *min_lane_pops = std::min(*min_lane_pops, q.stats().lane_pops);
+    }
   }
 }
 
@@ -299,29 +331,53 @@ TEST(EventQueueFuzz, FarLatticeTimestamps) {
 }
 
 TEST(EventQueueFuzz, ZeroWidthTimestamps) {
-  // Every push at the current instant: the all-equal pathological case
-  // end-to-end through the hybrid (buckets can never subdivide).
-  run_backend_fuzz(404, 12000, [](Rng&) { return 0.0; });
+  // Every push one time unit past the current instant: the pending set
+  // holds at most two distinct timestamps, the near-all-equal
+  // pathological case end-to-end through the hybrid (buckets can never
+  // subdivide).  Not at the current instant itself: those pushes ride
+  // the same-instant lanes and would never reach the heap or ladder.
+  run_backend_fuzz(404, 12000, [](Rng&) { return 1.0; });
+}
+
+TEST(EventQueueFuzz, SameInstantLanesWithReservedSeqs) {
+  // Half the pushes land at the current instant and fill the lanes; a
+  // quarter take a reserved, older seq — at the instant too, half the
+  // time — which sorts before the lane's tail and so must be placed
+  // by the main structure, yet pop in exact key order.
+  std::uint64_t lane_pops = ~std::uint64_t{0};
+  run_backend_fuzz(
+      606, 20000,
+      [](Rng& rng) -> SimTime {
+        return rng.uniform01() < 0.5 ? 0.0 : rng.uniform01() * 64.0;
+      },
+      0.25, &lane_pops);
+#if GRIDFED_TRACE
+  EXPECT_GT(lane_pops, 0u);
+#endif
 }
 
 // ---- hybrid spill / un-spill ------------------------------------------------
 
 TEST(EventQueueHybrid, SpillsAndUnspillsAcrossTheHysteresisBand) {
+  // Times start at 1: a push at the clock's start (0) would ride the
+  // same-instant lane, which the spill threshold does not count.
   EventQueue q(FelConfig{FelConfig::Kind::kHybrid, 256});
   EventSeq seq = 0;
-  for (int i = 0; i < 255; ++i) {
+  for (int i = 1; i < 256; ++i) {
     (void)q.push(Event{static_cast<double>(i), EventPriority::kArrival, seq++,
                        [] {}});
   }
   EXPECT_FALSE(q.spilled());
   (void)q.push(
-      Event{255.0, EventPriority::kArrival, seq++, [] {}});  // 256th key
+      Event{256.0, EventPriority::kArrival, seq++, [] {}});  // 256th key
   EXPECT_TRUE(q.spilled());
+  EXPECT_EQ(q.stats().spills, 1u);
   // Hysteresis: draining to just above threshold/4 keeps the ladder.
   while (q.size() > 65) (void)q.pop();
   EXPECT_TRUE(q.spilled());
   (void)q.pop();  // 64 == 256/4: un-spill
   EXPECT_FALSE(q.spilled());
+  EXPECT_EQ(q.stats().unspills, 1u);
   q.debug_validate();
   // The events themselves are untouched by both migrations.
   SimTime prev = -1.0;

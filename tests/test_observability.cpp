@@ -307,6 +307,58 @@ TEST(Metrics, CountersAgreeWithRunAggregates) {
   EXPECT_NE(out.str().find("\"jobs_accepted\""), std::string::npos);
 }
 
+TEST(Metrics, ClosingSampleCarriesTheFelTelemetry) {
+  // A zero-latency DBC run: replies and next-hop enquiries are scheduled
+  // at the instant being dispatched, so the same-instant lanes serve
+  // them.  The kernel's peak is the largest pending set any dispatch
+  // saw — exactly what a dispatch probe reading pending_events() sees.
+  auto cfg = core::make_config(core::SchedulingMode::kEconomy);
+  ASSERT_EQ(cfg.network_latency, 0.0);
+  cfg.obs.metrics = true;
+  cfg.obs.metrics_epoch = 3600.0;
+  const auto specs = cluster::replicated_specs(8);
+  core::Federation fed(cfg, specs);
+  fed.load_workload(
+      workload::generate_federation_workload(specs, cfg.window, cfg.seed),
+      workload::PopulationProfile{30});
+  struct Probe {
+    sim::Simulation* sim;
+    std::size_t max = 0;
+  } probe{&fed.simulation()};
+  // run() installs the metrics registry's probe; this first event of the
+  // run replaces it with ours from the next dispatch on.
+  fed.simulation().schedule_at(0.0, sim::EventPriority::kCompletion, [&probe] {
+    probe.sim->set_dispatch_probe(
+        [](void* ctx, sim::SimTime) {
+          auto* p = static_cast<Probe*>(ctx);
+          p->max = std::max(p->max, p->sim->pending_events());
+        },
+        &probe);
+  });
+  (void)fed.run();
+
+  const obs::MetricsRegistry* metrics = fed.observer()->metrics();
+  ASSERT_NE(metrics, nullptr);
+  const obs::MetricsSample& closing = metrics->series().back();
+  const auto gauge = [&closing](obs::Gauge g) {
+    return closing.gauges[static_cast<std::size_t>(g)];
+  };
+  EXPECT_GT(probe.max, 0u);
+  EXPECT_EQ(gauge(obs::Gauge::kFelPeakKeys), probe.max);
+  EXPECT_GT(gauge(obs::Gauge::kFelLanePops), 0u);
+  const sim::FelStats& fel = fed.simulation().fel_stats();
+  EXPECT_EQ(gauge(obs::Gauge::kFelLanePops), fel.lane_pops);
+  EXPECT_EQ(gauge(obs::Gauge::kFelSpills), fel.spills);
+  EXPECT_EQ(gauge(obs::Gauge::kFelUnspills), fel.unspills);
+  // Lane pops only accumulate along the series.
+  for (std::size_t i = 1; i < metrics->series().size(); ++i) {
+    EXPECT_GE(metrics->series()[i].gauges[static_cast<std::size_t>(
+                  obs::Gauge::kFelLanePops)],
+              metrics->series()[i - 1].gauges[static_cast<std::size_t>(
+                  obs::Gauge::kFelLanePops)]);
+  }
+}
+
 // ---- auction forensics ------------------------------------------------------
 
 TEST(Forensics, OneDecisionPerClearingAgreeingWithStats) {

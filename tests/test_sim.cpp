@@ -122,6 +122,43 @@ TEST(Simulation, EventsScheduledDuringRunExecute) {
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
+TEST(Simulation, ReservedSeqTiesAsOfItsReservation) {
+  // A seq reserved before an event is scheduled makes the later
+  // schedule_reserved() pop as if it had been scheduled at reservation:
+  // ahead of same-time, same-priority events scheduled in between.
+  Simulation sim;
+  std::vector<int> order;
+  const EventSeq first = sim.reserve_seq();
+  sim.schedule_at(0.0, EventPriority::kArrival, [&] { order.push_back(1); });
+  sim.schedule_at(5.0, EventPriority::kArrival, [&] { order.push_back(3); });
+  sim.schedule_reserved(0.0, EventPriority::kArrival, first,
+                        [&] { order.push_back(0); });
+  const EventSeq later = sim.reserve_seq();
+  sim.schedule_at(0.0, EventPriority::kCompletion, [&] {
+    // At the current instant, behind a fresher same-priority key already
+    // pending: the reserved seq still pops first.
+    sim.schedule_at(sim.now(), EventPriority::kArrival,
+                    [&] { order.push_back(4); });
+    sim.schedule_reserved(sim.now(), EventPriority::kArrival, later,
+                          [&] { order.push_back(2); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
+}
+
+TEST(Simulation, ScheduleReservedChecksItsContract) {
+  Simulation sim;
+  const EventSeq seq = sim.reserve_seq();
+  EXPECT_THROW(sim.schedule_reserved(0.0, EventPriority::kArrival, seq + 1,
+                                     [] {}),
+               ContractViolation);  // never reserved
+  sim.schedule_at(2.0, EventPriority::kControl, [] {});
+  sim.run();
+  EXPECT_THROW(
+      sim.schedule_reserved(1.0, EventPriority::kArrival, seq, [] {}),
+      ContractViolation);  // in the past
+}
+
 // ---- RNG ------------------------------------------------------------------
 
 TEST(Rng, DeterministicForSameSeed) {
