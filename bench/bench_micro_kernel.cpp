@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "cluster/availability_profile.hpp"
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
@@ -88,11 +90,11 @@ BENCHMARK(BM_SimulationEventDispatch);
 
 // A zero-latency cascade: each of 10,000 events schedules its successor
 // at now() — a delivery scheduling its reply — over 0 or 16,384
-// background keys pending in the future (the larger set keeps the hybrid
-// FEL spilled to the ladder).  The same-instant lanes serve the whole
-// chain without touching the heap or the ladder, so the two columns
-// should cost the same; bench/README.md "Same-instant lanes" has the
-// before/after ratio.
+// background keys pending at random future times (the larger set keeps
+// the hybrid FEL spilled to the ladder; in increasing order they would
+// ride the control lane instead).  The lanes serve the whole chain without
+// touching the heap or the ladder, so the two columns should cost the
+// same; bench/README.md "Same-instant lanes" has the before/after ratio.
 void BM_SimulationSameInstantChain(benchmark::State& state) {
   struct Chain {
     sim::Simulation* sim;
@@ -106,8 +108,10 @@ void BM_SimulationSameInstantChain(benchmark::State& state) {
   };
   const auto background = static_cast<int>(state.range(0));
   sim::Simulation sim;
+  sim::Rng rng(7);
   for (int i = 0; i < background; ++i) {
-    sim.schedule_at(1e12 + i, sim::EventPriority::kControl, [] {});
+    sim.schedule_at(1e12 + rng.uniform01() * 1e6,
+                    sim::EventPriority::kControl, [] {});
   }
   Chain chain{&sim, 0};
   sim::SimTime at = 1.0;
@@ -126,12 +130,49 @@ BENCHMARK(BM_SimulationSameInstantChain)
     ->Arg(0)
     ->Arg(16384);
 
+// A fixed-latency WAN: 64 staggered chains, each event scheduling its
+// successor at now + sqrt(2) — a delivery scheduling the next delivery —
+// over 0 or 4,096 background keys at random future times (all but the
+// few that sort after the control lane's tail stay on the heap, below
+// the spill threshold).  Each hop sorts after its lane's tail, so the
+// message lane serves every hop and never drains.  bench/README.md "Sorted-tail lanes"
+// has the before/after ratio.
+void BM_SimulationConstantDelayChain(benchmark::State& state) {
+  struct Chain {
+    sim::Simulation* sim;
+    void step() {
+      sim->schedule_in(std::sqrt(2.0), sim::EventPriority::kMessage,
+                       [this] { step(); });
+    }
+  };
+  const auto background = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  sim::Rng rng(7);
+  for (int i = 0; i < background; ++i) {
+    sim.schedule_at(1e12 + rng.uniform01() * 1e6,
+                    sim::EventPriority::kControl, [] {});
+  }
+  Chain chain{&sim};
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(1e-3 * i, sim::EventPriority::kMessage,
+                    [&chain] { chain.step(); });
+  }
+  for (auto _ : state) {
+    sim.run_until(sim.now() + 100.0 * std::sqrt(2.0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_executed()));
+}
+BENCHMARK(BM_SimulationConstantDelayChain)
+    ->ArgName("background")
+    ->Arg(0)
+    ->Arg(4096);
+
 #if GRIDFED_TRACE
 // The observability overhead pair: dispatch with the probe slot present
 // but null (runtime-disabled tracing — the default production state)
-// vs. a live counting probe (what the Federation installs when
-// ObsConfig::metrics is on).  The null-probe number must stay within 2%
-// of BM_SimulationEventDispatch on the pre-observability seed; see
+// vs. a live counting probe (the shape a profiler installs).  The
+// null-probe number must stay within 2% of BM_SimulationEventDispatch on
+// the pre-observability seed; see
 // bench/README.md "Observability".
 void BM_SimulationEventDispatchProbed(benchmark::State& state) {
   const bool live = state.range(0) != 0;

@@ -233,9 +233,8 @@ void Federation::arm_periodic_behaviours() {
   if (observer_ && observer_->metrics() != nullptr) {
     for (sim::SimTime t = cfg_.obs.metrics_epoch; t <= cfg_.window;
          t += cfg_.obs.metrics_epoch) {
-      sim_.schedule_at(t, sim::EventPriority::kControl, [this] {
-        observer_->metrics()->take_sample(sim_.now());
-      });
+      sim_.schedule_at(t, sim::EventPriority::kControl,
+                       [this] { sample_metrics(); });
     }
   }
 #endif
@@ -324,31 +323,25 @@ FederationResult Federation::run() {
               });
     arm_arrival(static_cast<cluster::ResourceIndex>(i));
   }
-#if GRIDFED_TRACE
-  // The kernel dispatch probe: a captureless shim forwarding to the
-  // metrics registry, so the kernel never learns about the obs layer.
-  // Installed only when metrics are on — the dark run keeps the probe
-  // null and pays one predicted branch per event.
-  if (observer_ && observer_->metrics() != nullptr) {
-    sim_.set_dispatch_probe(
-        [](void* ctx, sim::SimTime) {
-          static_cast<obs::MetricsRegistry*>(ctx)->count(
-              obs::Counter::kEventsDispatched);
-        },
-        observer_->metrics());
-  }
-#endif
   sim_.run();
   GF_ENSURES(outcomes_.size() == jobs_loaded_);
 #if GRIDFED_TRACE
   // The closing sample: the queue has drained, so the series ends on
   // ledger columns equal to aggregate()'s FederationResult totals.
-  if (observer_ && observer_->metrics() != nullptr) {
-    observer_->metrics()->take_sample(sim_.now());
-  }
+  if (observer_ && observer_->metrics() != nullptr) sample_metrics();
 #endif
   return aggregate();
 }
+
+#if GRIDFED_TRACE
+void Federation::sample_metrics() {
+  obs::MetricsRegistry& metrics = *observer_->metrics();
+  metrics.count(obs::Counter::kEventsDispatched,
+                sim_.events_executed() -
+                    metrics.counter(obs::Counter::kEventsDispatched));
+  metrics.take_sample(sim_.now());
+}
+#endif
 
 void Federation::send(Message msg) {
   GF_EXPECTS(msg.to < gfas_.size());

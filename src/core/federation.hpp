@@ -187,6 +187,13 @@ class Federation final : public GfaHost,
   /// The arrival event: submits the job, arms the next, and frees the
   /// stream's storage once it is exhausted.
   void arrive(cluster::ResourceIndex origin);
+#if GRIDFED_TRACE
+  /// Appends one metrics sample at the current time.  The
+  /// events_dispatched counter catches up to the kernel's own executed
+  /// count here, so the kernel's one dispatch-probe slot stays free for
+  /// an outside profiler.
+  void sample_metrics();
+#endif
   [[nodiscard]] FederationResult aggregate() const;
 
   // ---- transport::TransportContext --------------------------------------

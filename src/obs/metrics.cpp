@@ -26,7 +26,6 @@ void MetricsRegistry::take_sample(sim::SimTime t) {
   MetricsSample sample;
   sample.t = t;
   sample.counters = counters_;
-  sample.gauges = gauges_;
   if (ledger_sampler_) ledger_sampler_(sample);
   series_.push_back(sample);
 }

@@ -2,8 +2,9 @@
 // Metrics registry: enum-indexed counters and gauges, fixed-bucket
 // power-of-two histograms, and per-participant decline/miss tallies —
 // everything backed by flat arrays sized at construction, so the hot
-// path (count / set_gauge / observe) is an index and an add with no
-// allocation and no hashing.
+// path (count / observe) is an index and an add with no allocation and
+// no hashing.  Gauges are not written on the hot path: the
+// Federation-supplied LedgerSampler fills them into each sample.
 //
 // A sim-time epoch sampler snapshots the registry into a time-series.
 // The message/byte columns are not double-instrumented: each sample
@@ -24,7 +25,7 @@
 namespace gridfed::obs {
 
 enum class Counter : std::uint8_t {
-  kEventsDispatched = 0,  ///< kernel dispatch probe
+  kEventsDispatched = 0,  ///< the kernel's executed-event count, per sample
   kJobsSubmitted,
   kJobsAccepted,
   kJobsRejected,
@@ -94,7 +95,7 @@ enum class Gauge : std::uint8_t {
   kFelPeakKeys,    ///< largest pending-event count seen at a dispatch
   kFelSpills,      ///< heap -> ladder migrations so far
   kFelUnspills,    ///< ladder -> heap migrations so far
-  kFelLanePops,    ///< events dispatched from a same-instant lane so far
+  kFelLanePops,    ///< events dispatched from a lane so far
   kCount,
 };
 inline constexpr std::size_t kGaugeCount =
@@ -170,7 +171,8 @@ struct MetricsSample {
 class MetricsRegistry {
  public:
   /// Fills a sample's ledger columns from the authoritative
-  /// MessageLedger; installed by the Federation at construction.
+  /// MessageLedger, and its gauges; installed by the Federation at
+  /// construction.
   using LedgerSampler = std::function<void(MetricsSample&)>;
 
   MetricsRegistry(std::size_t participants, sim::SimTime epoch);
@@ -178,9 +180,6 @@ class MetricsRegistry {
   // ---- hot path -------------------------------------------------------------
   void count(Counter c, std::uint64_t n = 1) noexcept {
     counters_[static_cast<std::size_t>(c)] += n;
-  }
-  void set_gauge(Gauge g, std::uint64_t v) noexcept {
-    gauges_[static_cast<std::size_t>(g)] = v;
   }
   void observe(Histo h, double value) {
     histograms_[static_cast<std::size_t>(h)].observe(value);
@@ -196,15 +195,13 @@ class MetricsRegistry {
   void set_ledger_sampler(LedgerSampler sampler) {
     ledger_sampler_ = std::move(sampler);
   }
-  /// Snapshots counters/gauges/ledger at sim-time `t` onto the series.
+  /// Snapshots the counters, then the sampler's gauges and ledger
+  /// columns, at sim-time `t` onto the series.
   void take_sample(sim::SimTime t);
 
   [[nodiscard]] sim::SimTime epoch() const noexcept { return epoch_; }
   [[nodiscard]] std::uint64_t counter(Counter c) const noexcept {
     return counters_[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] std::uint64_t gauge(Gauge g) const noexcept {
-    return gauges_[static_cast<std::size_t>(g)];
   }
   [[nodiscard]] const Histogram& histogram(Histo h) const noexcept {
     return histograms_[static_cast<std::size_t>(h)];
@@ -226,7 +223,6 @@ class MetricsRegistry {
  private:
   sim::SimTime epoch_;
   std::array<std::uint64_t, kCounterCount> counters_{};
-  std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<Histogram, kHistoCount> histograms_{};
   std::vector<std::uint64_t> declines_;
   std::vector<std::uint64_t> misses_;

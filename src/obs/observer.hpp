@@ -85,9 +85,6 @@ class Observer {
   void count(Counter c, std::uint64_t n = 1) {
     if (metrics_) metrics_->count(c, n);
   }
-  void set_gauge(Gauge g, std::uint64_t v) {
-    if (metrics_) metrics_->set_gauge(g, v);
-  }
   void observe(Histo h, double value) {
     if (metrics_) metrics_->observe(h, value);
   }

@@ -1,10 +1,10 @@
 // EventQueue cold paths: the heap↔ladder migrations and the structural
-// self-check (main structure and same-instant lanes).  The push/pop hot
-// loop is header-inline (event_queue_inl.hpp).
+// self-check (main structure and lanes).  The push/pop hot loop is
+// header-inline (event_queue_inl.hpp).
 
 #include "sim/event_queue.hpp"
 
-#include <bit>
+#include <array>
 
 #include "sim/check.hpp"
 
@@ -39,34 +39,47 @@ bool EventQueue::consistent() {
     lane_keys += lane.keys.size() - lane.head;
   }
   if (lane_keys != lane_keys_) return false;
-  if (empty()) return next_key_ == kNoKey;
-  FelKey m = kNoKey;
-  if (lane_mask_ != 0) {
-    const Lane& lane = lanes_[std::countr_zero(lane_mask_)];
-    m = lane.keys[lane.head];
+  if (empty()) {
+    return next_key_ == kNoKey && next_src_ == kNoSrc &&
+           others_min_ == kNoKey && others_src_ == kNoSrc;
   }
-  if (main_size() != 0) {
-    if (spilled_ && !ladder_.min_materialized()) {
-      // A fresh Top batch with no bucket sorted yet: deriving the true
-      // min would force a sort the hot path deliberately defers.  The
-      // cached value is maintained by the push-side min-fold; the
-      // cross-check resumes at the next pop.
-      return next_key_ <= m;
-    }
-    const FelKey main_min =
-        spilled_ ? ladder_.materialized_min() : heap_.min_key();
-    if (main_min < m) m = main_min;
+  // Each source's head, where it is known without side effects: a fresh
+  // ladder Top batch with no bucket sorted yet defers its minimum (the
+  // hot path deliberately does not force that sort), so the main head's
+  // checks resume at the next pop.
+  std::array<FelKey, kLanes + 1> head{};
+  std::array<bool, kLanes + 1> known{};
+  for (unsigned p = 0; p < kLanes; ++p) {
+    known[p] = ((lane_mask_ >> p) & 1u) != 0;
+    if (known[p]) head[p] = lanes_[p].keys[lanes_[p].head];
   }
-  return next_key_ == m;
+  const bool has_main = main_size() != 0;
+  known[kMainSrc] = has_main && (!spilled_ || ladder_.min_materialized());
+  if (known[kMainSrc]) {
+    head[kMainSrc] = spilled_ ? ladder_.materialized_min() : heap_.min_key();
+  }
+  const auto nonempty = [&](unsigned src) {
+    return src < kLanes ? known[src] : src == kMainSrc && has_main;
+  };
+  // next_src_ holds next_key_; every other head sorts after it and at or
+  // after others_min_; others_src_, if named, attains the bound.
+  if (!nonempty(next_src_)) return false;
+  if (known[next_src_] && head[next_src_] != next_key_) return false;
+  for (unsigned src = 0; src <= kMainSrc; ++src) {
+    if (src == next_src_ || !known[src]) continue;
+    if (!(next_key_ < head[src]) || head[src] < others_min_) return false;
+  }
+  if (others_src_ == kNoSrc) return true;
+  return others_src_ != next_src_ && nonempty(others_src_) &&
+         (!known[others_src_] || head[others_src_] == others_min_);
 }
 
 bool EventQueue::lanes_ordered() const {
-  // Each lane ascending, every key at instant_ and of its lane's priority.
+  // Each lane ascending, every key of its lane's priority.
   for (std::size_t p = 0; p < kLanes; ++p) {
     const Lane& lane = lanes_[p];
     for (std::size_t i = lane.head; i < lane.keys.size(); ++i) {
       const FelKey k = lane.keys[i];
-      if (fel_time_of(k) != instant_) return false;
       if ((fel_low64(k) >> (kFelSeqBits + kFelSlotBits)) != p) return false;
       if (i > lane.head && !(lane.keys[i - 1] < k)) return false;
     }

@@ -1,7 +1,7 @@
 #pragma once
 // Future-event list: a hybrid over two backing structures that pop in
-// the identical total order (see fel.hpp), fronted by same-instant FIFO
-// lanes.
+// the identical total order (see fel.hpp), fronted by one sorted FIFO
+// lane per priority.
 //
 //   * HeapFel     — the 4-ary min-heap; O(log n) but cache-resident and
 //                   unbeatable while the pending set fits L1/L2;
@@ -17,20 +17,35 @@
 // backend choice and every migration are invisible to pop order: no
 // golden digest depends on which structure held the events.
 //
-// Same-instant lanes.  Most events of a zero-latency run are scheduled
-// at the instant being dispatched (a message delivery, its reply, the
-// next hop).  Such a push skips the heap/ladder: it is appended to one
-// FIFO lane per priority when its time equals the lanes' instant (the
-// time of the last pop from the main structure) and its key sorts after
-// the lane's tail — which a fresh seq always does, because seqs grow.
-// Each lane is therefore sorted, every lane key carries the same time,
-// and a lower priority's lane holds smaller keys, so the head of the
-// first non-empty lane is the smallest lane key.  A pop takes the
-// smaller of that head and the main structure's minimum, compared by
-// the full 128-bit key: the pop order is the total key order, exactly
-// as without the lanes.  A push with a reserved (older) seq sorts before
-// the lane's tail and goes to the main structure; so does every push at
-// a later time.  The instant moves only while the lanes are empty.
+// Sorted-tail lanes.  Most events are pushed in increasing key order
+// per priority: a zero-latency run schedules its next hop at the instant
+// being dispatched, and a WAN with one fixed latency schedules every
+// delivery at now + latency, both under a fresh (growing) seq.  Such a
+// push skips the heap/ladder: each priority has one FIFO lane, and a
+// push is appended to its priority's lane when the lane is empty or the
+// key sorts after the lane's tail, whatever the key's time.  Every other
+// push goes to the main structure: a reserved (older) seq that sorts
+// before the tail, and any out-of-order time (a completion, a timeout of
+// a different length).  Each lane is therefore sorted, so its head is
+// its smallest key.  A pop takes the smallest of the non-empty lanes'
+// heads (at most four) and the main structure's minimum, compared by the
+// full 128-bit key: the pop order is the total key order, exactly as
+// without the lanes.  The queue caches which of these sources holds the
+// minimum, so a pop takes it without searching again, and a lower bound
+// on the other sources' heads together with the source that attains it,
+// if known.  While the popped source's next key sorts before that bound
+// it is the next minimum; otherwise the bound's source takes over.  So a
+// run of pops from one lane compares one key per pop, not five, and so
+// does a lane that drains after every pop (a zero-latency request/reply
+// chain); only a pop whose successor is unknown searches all sources.
+//
+// Lane storage.  A lane on a WAN may never drain, so a lane is a vector
+// with a consumed prefix [0, head): when a push finds the vector at
+// capacity with at least half of it consumed, the live suffix moves to
+// the front instead of the vector growing.  It grows only while more
+// than half of it is live, so a lane's storage stays below four times
+// its peak live key count (or its initial reserve, if larger), and a
+// steady state allocates nothing.
 //
 // Reserved seqs.  Simulation::reserve_seq() hands out a seq now for an
 // event scheduled later (a job arrival streamed per origin), so the
@@ -67,7 +82,7 @@ struct FelStats {
   std::size_t peak_keys = 0;
   std::uint64_t spills = 0;     ///< heap -> ladder migrations
   std::uint64_t unspills = 0;   ///< ladder -> heap migrations (and drains)
-  std::uint64_t lane_pops = 0;  ///< pops served by a same-instant lane
+  std::uint64_t lane_pops = 0;  ///< pops served by a lane
 };
 
 /// Pending-event list ordered by (time, priority, seq).
@@ -94,7 +109,7 @@ class EventQueue {
     spilled_ = cfg_.kind == FelConfig::Kind::kLadder;
   }
 
-  /// Inserts an event.  O(1) into a same-instant lane, otherwise O(log n)
+  /// Inserts an event.  O(1) amortized into a lane, otherwise O(log n)
   /// on the heap or O(1) amortized on the ladder; allocation-free apart
   /// from amortized storage growth (slots freed by pop() are reused).
   /// Defined inline below: push/pop are the innermost simulation loop.
@@ -130,21 +145,29 @@ class EventQueue {
   [[nodiscard]] const FelStats& stats() const noexcept { return stats_; }
 
   /// Always-compiled structural self-check: the cached minimum matches
-  /// the lanes' heads and the structural minimum, the inactive structure
-  /// is empty, and every lane is ascending at one instant.  GF_SIM_CHECK
-  /// runs all but the per-key lane scan after every mutating op in debug
-  /// builds; Release test binaries call it explicitly.  Throws
-  /// ContractViolation.
+  /// the lanes' heads and the structural minimum and sits where the
+  /// cached source says, the inactive structure is empty, and every lane
+  /// is ascending within its priority.  GF_SIM_CHECK runs all but the
+  /// per-key lane scan after every mutating op in debug builds; Release
+  /// test binaries call it explicitly.  Throws ContractViolation.
   void debug_validate();
 
  private:
   static constexpr std::size_t kInitialCapacity = 4096;
-  /// Initial keys per lane: past a zero-latency run's widest instant, so
-  /// the lanes do not grow in the hot loop.
+  /// Initial keys per lane: past a zero-latency run's widest instant and
+  /// a WAN run's in-flight deliveries, so the lanes do not grow in the
+  /// hot loop.
   static constexpr std::size_t kLaneCapacity = 1024;
   static constexpr std::size_t kLanes = 4;  ///< one per EventPriority
-  /// next_key_ of an empty queue: decodes to kTimeInfinity and sorts
-  /// after every real key.
+  /// Sources of pending keys: lane p is named by its priority
+  /// (0 .. kLanes - 1), the main structure by kMainSrc; kNoSrc names none.
+  static constexpr unsigned kMainSrc = kLanes;
+  static constexpr unsigned kNoSrc = kLanes + 1;
+  /// next_key_ of an empty queue, and others_min_ with no other source:
+  /// decodes to kTimeInfinity.  It is the largest key the packing can
+  /// produce (time +inf, every low bit set), so every real key sorts at
+  /// or before it.  Emptiness is tested directly (sizes, kNoSrc), never
+  /// by comparing a key with it.
   static constexpr FelKey kNoKey =
       (static_cast<FelKey>(0x7FF0000000000000ull) << 64) | ~std::uint64_t{0};
   /// How many upcoming pops refresh_next prefetches slot records for
@@ -172,9 +195,12 @@ class EventQueue {
   /// Pops the main structure's minimum and settles it: a drained ladder
   /// resets, a hybrid un-spills across the hysteresis floor.
   FelKey pop_main();
-  /// Re-derives next_key_ (lane head vs main minimum) after a pop and
-  /// prefetches the slot record of the next dispatch.
+  /// Re-derives next_key_/next_src_ and others_min_/others_src_ from
+  /// every source (lane heads vs main minimum) after a pop that cannot
+  /// name the next minimum's source, and prefetches the next dispatch.
   void refresh_next();
+  /// Prefetches the slot record(s) of the next dispatch(es).
+  void prefetch_next();
   void maybe_spill();
   void maybe_unspill();
   void migrate_to_ladder();
@@ -198,19 +224,39 @@ class EventQueue {
   std::vector<Slot> slots_;                ///< slot-indexed, stable
   std::vector<std::uint32_t> free_slots_;  ///< recycled action slots
 
-  /// One same-instant FIFO: keys[head..] ascending, all at instant_.
-  /// Reset to empty (storage kept) whenever it drains.
+  /// One priority's sorted FIFO: keys[head..] ascending, keys[..head)
+  /// consumed.  Reset to empty (storage kept) whenever it drains.
   struct Lane {
     std::vector<FelKey> keys;
     std::size_t head = 0;
+
+    /// Appends a key that sorts after the tail.  At capacity, reclaims
+    /// the consumed prefix instead of growing while it is at least half
+    /// the vector (see "Lane storage" above).
+    void append(FelKey key) {
+      if (keys.size() == keys.capacity() && head >= keys.size() / 2) {
+        keys.erase(keys.begin(),
+                   keys.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+      keys.push_back(key);
+    }
   };
   std::array<Lane, kLanes> lanes_;
   unsigned lane_mask_ = 0;      ///< bit p set while lanes_[p] is non-empty
   std::size_t lane_keys_ = 0;   ///< keys across all lanes
-  SimTime instant_ = 0.0;       ///< the lanes' time: the clock's start, then
-                                ///< the last main pop made with the lanes empty
 
-  FelKey next_key_ = kNoKey;  ///< the minimum pending key (cached)
+  FelKey next_key_ = kNoKey;    ///< the minimum pending key (cached)
+  unsigned next_src_ = kNoSrc;  ///< the source holding next_key_; kNoSrc
+                                ///< exactly while the queue is empty
+  /// A lower bound on the heads of every source but next_src_ (kNoKey
+  /// when there are none).  A pop whose source's new head sorts before it
+  /// has found the next minimum without looking at the other sources.
+  FelKey others_min_ = kNoKey;
+  /// The source whose head equals others_min_, or kNoSrc when the bound
+  /// is not known to be attained.  A pop whose source's new head sorts
+  /// after the bound hands the minimum to this source without a search.
+  unsigned others_src_ = kNoSrc;
   FelStats stats_;
   std::vector<FelKey> migrate_scratch_;
 };

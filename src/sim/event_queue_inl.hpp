@@ -5,8 +5,8 @@
 // (e.g. a caller that only reads the popped time never materializes the
 // decoded priority/seq).  The spilled_ branch predicts perfectly in
 // steady state — a queue flips it once per migration, not per event.
-// The lane branch follows the run: a zero-latency run takes it for most
-// pushes and pops, a WAN run almost never.
+// The lane branch follows the run: a zero-latency run or a WAN with one
+// fixed latency takes it for most pushes and pops.
 
 #include <algorithm>
 #include <bit>
@@ -49,10 +49,12 @@ inline void EventQueue::push(Event ev) {
       (static_cast<FelKey>(std::bit_cast<std::uint64_t>(ev.time)) << 64) | low;
 
   Lane& lane = lanes_[prio];
-  if (ev.time == instant_ && (lane.keys.empty() || lane.keys.back() < key)) {
-    lane.keys.push_back(key);
+  unsigned src = kMainSrc;
+  if (lane.keys.empty() || lane.keys.back() < key) {
+    lane.append(key);
     lane_mask_ |= 1u << prio;
     ++lane_keys_;
+    src = static_cast<unsigned>(prio);
   } else if (spilled_) {
     ladder_.push(key);
   } else {
@@ -60,8 +62,23 @@ inline void EventQueue::push(Event ev) {
     maybe_spill();
   }
   // The cached minimum folds in with one compare — no min_key() call,
-  // which keeps ladder pushes O(1) (min_key may sort a bucket).
-  if (key < next_key_) next_key_ = key;
+  // which keeps ladder pushes O(1) (min_key may sort a bucket).  `<=`,
+  // not `<`: into an empty queue even a key equal to kNoKey is the new
+  // minimum (keys are unique, so it cannot tie a real one).  A new
+  // minimum from another source demotes the old one, which is exactly
+  // the smallest of the others (of none, into an empty queue); a key
+  // that lands below the others' bound becomes it.
+  if (key <= next_key_) {
+    if (src != next_src_) {
+      others_min_ = next_key_;
+      others_src_ = next_src_;
+    }
+    next_key_ = key;
+    next_src_ = src;
+  } else if (src != next_src_ && key < others_min_) {
+    others_min_ = key;
+    others_src_ = src;
+  }
   GF_SIM_CHECK(consistent());
 }
 
@@ -80,35 +97,52 @@ inline FelKey EventQueue::pop_main() {
   } else {
     maybe_unspill();
   }
-  // The lanes follow the clock only while empty: every lane key then
-  // shares one time, which is what makes the first lane's head the
-  // smallest lane key.
-  if (lane_mask_ == 0) instant_ = fel_time_of(top);
   return top;
 }
 
 inline FelKey EventQueue::pop_key(InlineFunction& action) {
+  // Pop the minimum's source and read its new head.  While that head
+  // sorts before others_min_ it is the new minimum; otherwise, if the
+  // others' bound is attained, its source takes over.  Either way no
+  // source is searched: a run of pops from one lane (a same-instant
+  // cascade, a WAN's deliveries) and a lane that drains after every pop
+  // (a zero-latency request/reply chain) both stay off refresh_next.
   FelKey top;
-  Lane* lane = lane_mask_ != 0 ? &lanes_[std::countr_zero(lane_mask_)]
-                               : nullptr;
-  if (lane != nullptr && lane->keys[lane->head] == next_key_) {
-    top = lane->keys[lane->head++];
+  FelKey head = kNoKey;  // the popped source's new head; kNoKey if none
+  if (next_src_ != kMainSrc) {
+    Lane& lane = lanes_[next_src_];
+    top = lane.keys[lane.head++];
     --lane_keys_;
-    if (lane->head == lane->keys.size()) {
-      lane->keys.clear();
-      lane->head = 0;
-      lane_mask_ &= lane_mask_ - 1;  // the lowest set bit is this lane's
+    if (lane.head == lane.keys.size()) {
+      lane.keys.clear();
+      lane.head = 0;
+      lane_mask_ &= ~(1u << next_src_);
+    } else {
+      head = lane.keys[lane.head];
     }
 #if GRIDFED_TRACE
     ++stats_.lane_pops;
 #endif
   } else {
     top = pop_main();
+    if (main_size() != 0) head = active_min();
   }
   const std::uint32_t slot = fel_slot_of(top);
   action = std::move(slots_[slot].action);
   free_slots_.push_back(slot);
-  refresh_next();
+  if (head < others_min_) {
+    next_key_ = head;
+    prefetch_next();
+  } else if (others_src_ != kNoSrc) {
+    // others_min_ stays a valid bound on the rest, but no longer names a
+    // source: the popped source's head and every other head sort after it.
+    next_key_ = others_min_;
+    next_src_ = others_src_;
+    others_src_ = kNoSrc;
+    prefetch_next();
+  } else {
+    refresh_next();
+  }
 #if GRIDFED_TRACE
   if (size() > stats_.peak_keys) stats_.peak_keys = size();
 #endif
@@ -135,24 +169,43 @@ inline Event EventQueue::pop() {
 }
 
 inline void EventQueue::refresh_next() {
-  FelKey next;
-  bool from_main = main_size() != 0;
-  if (lane_mask_ == 0) {
-    if (!from_main) {
-      next_key_ = kNoKey;
-      return;
-    }
-    next = active_min();
-  } else {
-    const Lane& lane = lanes_[std::countr_zero(lane_mask_)];
-    next = lane.keys[lane.head];
-    if (from_main) {
-      const FelKey main_min = active_min();
-      from_main = main_min < next;
-      if (from_main) next = main_min;
+  const bool has_main = main_size() != 0;
+  if (lane_mask_ == 0 && !has_main) {
+    next_key_ = kNoKey;
+    next_src_ = kNoSrc;
+    others_min_ = kNoKey;
+    others_src_ = kNoSrc;
+    return;
+  }
+  // The smallest and second-smallest of the main minimum and each
+  // non-empty lane's head, with their sources.  `<=` lets a head replace
+  // the kNoKey stand-in of an empty main structure; a real main minimum
+  // never ties a head (keys are unique).
+  FelKey next = has_main ? active_min() : kNoKey;
+  unsigned src = has_main ? kMainSrc : kNoSrc;
+  FelKey second = kNoKey;
+  unsigned second_src = kNoSrc;
+  for (unsigned mask = lane_mask_; mask != 0; mask &= mask - 1) {
+    const auto p = static_cast<unsigned>(std::countr_zero(mask));
+    const FelKey head = lanes_[p].keys[lanes_[p].head];
+    if (head <= next) {
+      second = next;
+      second_src = src;
+      next = head;
+      src = p;
+    } else if (head < second) {
+      second = head;
+      second_src = p;
     }
   }
   next_key_ = next;
+  next_src_ = src;
+  others_min_ = second;
+  others_src_ = second_src;
+  prefetch_next();
+}
+
+inline void EventQueue::prefetch_next() {
   // The next dispatch will move this slot's record out; its line is a
   // guaranteed miss on large pending sets (slots are read in key order,
   // i.e. randomly).  Start the fetch now so it overlaps the caller's
@@ -160,8 +213,8 @@ inline void EventQueue::refresh_next() {
   // next several pops exactly — not just the next one — so fetch deep
   // enough to cover a full miss latency; repeat prefetches of a line
   // already in flight are near-free.
-  __builtin_prefetch(&slots_[fel_slot_of(next)], 1);
-  if (from_main && spilled_) {
+  __builtin_prefetch(&slots_[fel_slot_of(next_key_)], 1);
+  if (next_src_ == kMainSrc && spilled_) {
     const std::size_t depth = std::min<std::size_t>(
         ladder_.materialized_run(), kPrefetchDepth);
     for (std::size_t i = 1; i < depth; ++i) {

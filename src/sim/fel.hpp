@@ -75,8 +75,12 @@ struct FelConfig {
   };
   Kind kind = Kind::kHybrid;
 
-  /// Main-structure key count (same-instant lane keys excluded) at which
-  /// a hybrid queue migrates heap → ladder.
+  /// Main-structure key count at which a hybrid queue migrates heap →
+  /// ladder.  The lanes' keys are excluded: the main structure holds only
+  /// the pushes that sort before their lane's tail (reserved seqs,
+  /// completions, timeouts of mixed lengths), so on a run whose pushes
+  /// mostly arrive in key order per priority the threshold is rarely
+  /// reached.
   /// ~8192 keys = 128 KB of keys: past the L1 the heap's pop becomes a
   /// dependent-load heapsort (the 16384 cliff in BENCH_kernel_micro).
   std::size_t spill_threshold = 8192;

@@ -72,11 +72,11 @@ class Simulation {
 
 #if GRIDFED_TRACE
   /// Dispatch probe: a bare function pointer invoked once per executed
-  /// event, after the clock advances and before the action runs.  The
-  /// kernel stays ignorant of the observability layer — the Federation
-  /// installs a shim that forwards to its metrics registry.  A null
-  /// probe (the default) costs one predicted-not-taken branch per event
-  /// and allocates nothing; the no-alloc contract in
+  /// event, after the clock advances and before the action runs: the
+  /// hook for outside profilers (perfbench's traced run, tests).  The
+  /// Federation installs none; its metrics read events_executed().  A
+  /// null probe (the default) costs one predicted-not-taken branch per
+  /// event and allocates nothing; the no-alloc contract in
   /// tests/test_event_kernel.cpp covers both states.
   using DispatchProbe = void (*)(void* ctx, SimTime t);
   void set_dispatch_probe(DispatchProbe probe, void* ctx) noexcept {

@@ -2,12 +2,14 @@
 // semantics, the 4-ary heap's deterministic (time, priority, seq) pop
 // order under randomized workloads, the pop_into hot path, and the
 // no-heap-traffic contract for small trivially copyable captures and
-// for same-instant dispatch through the FIFO lanes.
+// for dispatch through the sorted FIFO lanes (same-instant and
+// constant-delay chains).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -301,9 +303,9 @@ TEST(EventKernel, SimulationDispatchIsAllocationFreeInSteadyState) {
 
 TEST(EventKernel, SameInstantDispatchIsAllocationFreeInSteadyState) {
   // The zero-latency pattern: each event schedules its successor at
-  // now(), behind a few future keys.  The successors ride the
-  // same-instant lanes; once the lanes and slots have reached their
-  // high-water mark, a chain allocates nothing.
+  // now(), behind a few future keys.  The chain rides the message lane;
+  // once the lanes and slots have reached their high-water mark, a chain
+  // allocates nothing.
   struct Chain {
     Simulation* sim;
     int left;
@@ -332,17 +334,55 @@ TEST(EventKernel, SameInstantDispatchIsAllocationFreeInSteadyState) {
   EXPECT_EQ(chain.left, 0);
   EXPECT_EQ(sim.pending_events(), 64u);
 #if GRIDFED_TRACE
-  // Every successor was a lane pop; the chain heads came off the heap.
-  EXPECT_EQ(sim.fel_stats().lane_pops, 2u * 4095u);
+  // Every event of both chains was a lane pop: each chain head sorts
+  // after the empty message lane, its successors after their
+  // predecessor.
+  EXPECT_EQ(sim.fel_stats().lane_pops, 2u * 4096u);
+#endif
+}
+
+TEST(EventKernel, ConstantDelayLaneNeverDrainsYetStaysBounded) {
+  // The fixed-latency WAN pattern: each event schedules its successor at
+  // now + sqrt(2).  600 chains staggered in time keep ~600 keys in the
+  // message lane for the whole run, so it never drains and never resets;
+  // its consumed prefix must be reclaimed in place.  After a warm-up
+  // pass, tens of thousands more dispatches allocate nothing.
+  struct Chain {
+    Simulation* sim;
+    void step() {
+      sim->schedule_in(std::sqrt(2.0), EventPriority::kMessage,
+                       [this] { step(); });
+    }
+  };
+  constexpr int kChains = 600;
+  Simulation sim;
+  Chain chain{&sim};
+  for (int i = 0; i < kChains; ++i) {
+    sim.schedule_at(1e-3 * i, EventPriority::kMessage,
+                    [&chain] { chain.step(); });
+  }
+  // Warm-up: the lane reaches its high-water mark.
+  sim.run_until(40 * std::sqrt(2.0));
+  EXPECT_EQ(sim.pending_events(), static_cast<std::size_t>(kChains));
+  const std::uint64_t executed = sim.events_executed();
+  const std::uint64_t before = g_allocations.load();
+  sim.run_until(sim.now() + 100 * std::sqrt(2.0));
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u) << "never-draining lane allocated";
+  EXPECT_GE(sim.events_executed() - executed, 100u * kChains - kChains);
+  EXPECT_EQ(sim.pending_events(), static_cast<std::size_t>(kChains));
+#if GRIDFED_TRACE
+  // Every dispatch after the first of each chain came off the lane.
+  EXPECT_GE(sim.fel_stats().lane_pops, sim.events_executed() - kChains);
 #endif
 }
 
 #if GRIDFED_TRACE
 TEST(EventKernel, DispatchProbeFiresPerEventWithoutAllocating) {
-  // The enabled state: a counting probe (the same shape the Federation
-  // installs to feed kEventsDispatched) must fire exactly once per
-  // executed event and keep the hot path allocation-free — a bare
-  // function pointer call, no std::function, no capture boxing.
+  // The enabled state: a counting probe (the shape a profiler installs)
+  // must fire exactly once per executed event and keep the hot path
+  // allocation-free — a bare function pointer call, no std::function, no
+  // capture boxing.
   Simulation sim;
   std::uint64_t probe_hits = 0;
   sim.set_dispatch_probe(

@@ -5,9 +5,9 @@
 // including equal-key ties, skewed/bursty timestamp distributions, the
 // zero-width-bucket pathological case, pushes at the edge of an
 // exhausted rung, repeated spill/un-spill migrations of a
-// small-threshold hybrid, and same-instant lane pushes mixed with
-// reserved-seq pushes — plus the allocation-free steady-state contract
-// (rung/bucket recycling).
+// small-threshold hybrid, and lane pushes (same-instant and constant
+// delay) mixed with reserved-seq pushes — plus the allocation-free
+// steady-state contract (rung/bucket recycling).
 
 #include <gtest/gtest.h>
 
@@ -197,13 +197,19 @@ std::array<FelConfig, kNumQueues> fuzz_configs() {
 /// hybrid must spill and un-spill within every run.  A `reserved_share`
 /// of the pushes takes its seq from a shuffled pool set aside before the
 /// first push (as Simulation::reserve_seq does for streamed arrivals):
-/// older than every fresh seq, so never appended behind a lane's tail.
-/// `min_lane_pops`, if given, receives the fewest lane pops any backend
-/// served.
+/// older than every fresh seq, so it joins a lane only when its time
+/// sorts after the lane's tail.  `min_lane_pops`, if given, receives the
+/// fewest lane pops any backend served.  `anchor_lanes` first parks one
+/// key per priority at kLaneAnchor, past every fuzz time, and pops them
+/// only in the final drain: every fuzz push then sorts before its lane's
+/// tail, so all of them reach the heap/ladder under test.
+constexpr SimTime kLaneAnchor = 1e12;
+
 template <typename NextTime>
 void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time,
                       double reserved_share = 0.0,
-                      std::uint64_t* min_lane_pops = nullptr) {
+                      std::uint64_t* min_lane_pops = nullptr,
+                      bool anchor_lanes = false) {
   Rng rng(seed);
   std::vector<EventSeq> reserved;
   if (reserved_share > 0.0) {
@@ -226,11 +232,20 @@ void run_backend_fuzz(std::uint64_t seed, int steps, NextTime next_push_time,
   EventSeq seq = reserved.size();
   int spills = 0;
   int unspills = 0;
+  std::size_t anchors = 0;
+  if (anchor_lanes) {
+    for (int p = 0; p < 4; ++p) {
+      const auto prio = static_cast<EventPriority>(p);
+      for (auto& q : queues) q.push(Event{kLaneAnchor, prio, seq, [] {}});
+      ref.insert(PopRecord{kLaneAnchor, prio, seq++});
+      ++anchors;
+    }
+  }
 
   for (int step = 0; step < steps; ++step) {
     const double push_share = (step / 1024) % 2 == 0 ? 0.6 : 0.4;
     const bool was_spilled = small_hybrid.spilled();
-    if (ref.empty() || rng.uniform01() < push_share) {
+    if (ref.size() <= anchors || rng.uniform01() < push_share) {
       const SimTime t = now + next_push_time(rng);
       const auto prio = static_cast<EventPriority>(rng.uniform_int(0, 3));
       EventSeq s = seq;
@@ -322,21 +337,29 @@ TEST(EventQueueFuzz, FarLatticeTimestamps) {
   // the parent's frontier past its final bucket; pushes at exactly the
   // spread's max time must then route into the child, not into the
   // parent's consumed bucket behind its frontier.
-  run_backend_fuzz(505, 20000, [](Rng& rng) -> SimTime {
-    if (rng.uniform01() < 0.4) {
-      return static_cast<double>(rng.uniform_int(0, 2));
-    }
-    return 256.0 - static_cast<double>(rng.uniform_int(0, 1));
-  });
+  // Anchored lanes: these pushes come mostly in increasing key order per
+  // priority, which the lanes would take off the ladder.
+  run_backend_fuzz(
+      505, 20000,
+      [](Rng& rng) -> SimTime {
+        if (rng.uniform01() < 0.4) {
+          return static_cast<double>(rng.uniform_int(0, 2));
+        }
+        return 256.0 - static_cast<double>(rng.uniform_int(0, 1));
+      },
+      0.0, nullptr, /*anchor_lanes=*/true);
 }
 
 TEST(EventQueueFuzz, ZeroWidthTimestamps) {
   // Every push one time unit past the current instant: the pending set
   // holds at most two distinct timestamps, the near-all-equal
   // pathological case end-to-end through the hybrid (buckets can never
-  // subdivide).  Not at the current instant itself: those pushes ride
-  // the same-instant lanes and would never reach the heap or ladder.
-  run_backend_fuzz(404, 12000, [](Rng&) { return 1.0; });
+  // subdivide).  A constant delay under a fresh seq is exactly what the
+  // lanes take, so the lanes are anchored: every push sorts before its
+  // lane's tail and reaches the heap or ladder.
+  run_backend_fuzz(
+      404, 12000, [](Rng&) { return 1.0; }, 0.0, nullptr,
+      /*anchor_lanes=*/true);
 }
 
 TEST(EventQueueFuzz, SameInstantLanesWithReservedSeqs) {
@@ -356,26 +379,48 @@ TEST(EventQueueFuzz, SameInstantLanesWithReservedSeqs) {
 #endif
 }
 
+TEST(EventQueueFuzz, ConstantDelayLanes) {
+  // A WAN with one fixed latency: most pushes land at now + sqrt(2), in
+  // increasing key order per priority, so the lanes serve them and may
+  // never drain.  Random-time pushes (some after a lane's tail, some
+  // before) and reserved, older seqs mix in; the pop order must still be
+  // the reference's exactly, on every backend.
+  std::uint64_t lane_pops = ~std::uint64_t{0};
+  run_backend_fuzz(
+      707, 20000,
+      [](Rng& rng) -> SimTime {
+        return rng.uniform01() < 0.5 ? std::sqrt(2.0)
+                                     : rng.uniform01() * 8.0;
+      },
+      0.25, &lane_pops);
+#if GRIDFED_TRACE
+  EXPECT_GT(lane_pops, 0u);
+#endif
+}
+
 // ---- hybrid spill / un-spill ------------------------------------------------
 
 TEST(EventQueueHybrid, SpillsAndUnspillsAcrossTheHysteresisBand) {
-  // Times start at 1: a push at the clock's start (0) would ride the
-  // same-instant lane, which the spill threshold does not count.
+  // Descending times: the first push opens the (empty) arrival lane and
+  // every later one sorts before that lane's tail, so it goes to the
+  // main structure — the only keys the spill threshold counts.
   EventQueue q(FelConfig{FelConfig::Kind::kHybrid, 256});
   EventSeq seq = 0;
-  for (int i = 1; i < 256; ++i) {
+  (void)q.push(Event{257.0, EventPriority::kArrival, seq++, [] {}});
+  for (int i = 256; i > 1; --i) {
     (void)q.push(Event{static_cast<double>(i), EventPriority::kArrival, seq++,
                        [] {}});
   }
   EXPECT_FALSE(q.spilled());
   (void)q.push(
-      Event{256.0, EventPriority::kArrival, seq++, [] {}});  // 256th key
+      Event{1.0, EventPriority::kArrival, seq++, [] {}});  // 256th main key
   EXPECT_TRUE(q.spilled());
   EXPECT_EQ(q.stats().spills, 1u);
-  // Hysteresis: draining to just above threshold/4 keeps the ladder.
-  while (q.size() > 65) (void)q.pop();
+  // Hysteresis: draining to just above threshold/4 keeps the ladder (the
+  // lane's one key pops last).
+  while (q.size() > 66) (void)q.pop();
   EXPECT_TRUE(q.spilled());
-  (void)q.pop();  // 64 == 256/4: un-spill
+  (void)q.pop();  // 64 == 256/4 main keys: un-spill
   EXPECT_FALSE(q.spilled());
   EXPECT_EQ(q.stats().unspills, 1u);
   q.debug_validate();

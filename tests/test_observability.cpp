@@ -307,11 +307,52 @@ TEST(Metrics, CountersAgreeWithRunAggregates) {
   EXPECT_NE(out.str().find("\"jobs_accepted\""), std::string::npos);
 }
 
+TEST(Metrics, EventsDispatchedIgnoresAnOutsideDispatchProbe) {
+  // The kernel has one dispatch-probe slot.  A profiler that takes it
+  // from a t = 0 event (perfbench's traced run does) must not starve
+  // the registry's events_dispatched counter: each sample reads the
+  // kernel's executed count.
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.obs.metrics = true;
+  cfg.obs.metrics_epoch = 3600.0;
+  const auto specs = cluster::replicated_specs(8);
+  core::Federation fed(cfg, specs);
+  fed.load_workload(
+      workload::generate_federation_workload(specs, cfg.window, cfg.seed),
+      workload::PopulationProfile{30});
+  std::uint64_t probed = 0;
+  fed.simulation().schedule_at(
+      0.0, sim::EventPriority::kCompletion, [&fed, &probed] {
+        fed.simulation().set_dispatch_probe(
+            [](void* ctx, sim::SimTime) { ++*static_cast<std::uint64_t*>(ctx); },
+            &probed);
+      });
+  (void)fed.run();
+
+  const obs::MetricsRegistry* metrics = fed.observer()->metrics();
+  ASSERT_NE(metrics, nullptr);
+  const std::uint64_t executed = fed.simulation().events_executed();
+  EXPECT_GT(probed, 0u);
+  EXPECT_EQ(probed + 1, executed);  // every dispatch after the installer
+  EXPECT_EQ(metrics->counter(obs::Counter::kEventsDispatched), executed);
+  const auto dispatched = [](const obs::MetricsSample& s) {
+    return s.counters[static_cast<std::size_t>(
+        obs::Counter::kEventsDispatched)];
+  };
+  EXPECT_EQ(dispatched(metrics->series().back()), executed);
+  ASSERT_GE(metrics->series().size(), 2u);
+  for (std::size_t i = 1; i < metrics->series().size(); ++i) {
+    EXPECT_GE(dispatched(metrics->series()[i]),
+              dispatched(metrics->series()[i - 1]));
+  }
+  EXPECT_GT(dispatched(metrics->series().front()), 0u);
+}
+
 TEST(Metrics, ClosingSampleCarriesTheFelTelemetry) {
   // A zero-latency DBC run: replies and next-hop enquiries are scheduled
-  // at the instant being dispatched, so the same-instant lanes serve
-  // them.  The kernel's peak is the largest pending set any dispatch
-  // saw — exactly what a dispatch probe reading pending_events() sees.
+  // at the instant being dispatched, so the lanes serve them.  The
+  // kernel's peak is the largest pending set any dispatch saw — exactly
+  // what a dispatch probe reading pending_events() sees.
   auto cfg = core::make_config(core::SchedulingMode::kEconomy);
   ASSERT_EQ(cfg.network_latency, 0.0);
   cfg.obs.metrics = true;
@@ -325,8 +366,8 @@ TEST(Metrics, ClosingSampleCarriesTheFelTelemetry) {
     sim::Simulation* sim;
     std::size_t max = 0;
   } probe{&fed.simulation()};
-  // run() installs the metrics registry's probe; this first event of the
-  // run replaces it with ours from the next dispatch on.
+  // The first event of the run installs our probe, as perfbench's
+  // traced run does.
   fed.simulation().schedule_at(0.0, sim::EventPriority::kCompletion, [&probe] {
     probe.sim->set_dispatch_probe(
         [](void* ctx, sim::SimTime) {
