@@ -2,16 +2,16 @@
 // (a) average utilization per resource, Experiment 1 vs Experiment 2;
 // (b) per-resource job split (local / migrated / remote) under federation.
 
-#include "baselines/independent.hpp"
-#include "baselines/no_economy.hpp"
 #include "bench_common.hpp"
 
 int main() {
   using namespace gridfed;
   bench::banner("Fig 2", "Utilization lift and load-sharing, Exp 1 vs Exp 2");
 
-  const auto indep = baselines::run_independent();
-  const auto fed = baselines::run_federation_no_economy();
+  const auto indep = core::run_experiment(
+      core::make_config(core::SchedulingMode::kIndependent));
+  const auto fed = core::run_experiment(
+      core::make_config(core::SchedulingMode::kFederationNoEconomy));
 
   std::printf("(a) Average resource utilization (%%)\n\n");
   stats::Table a({"Resource", "Independent", "Federation", "Delta"});

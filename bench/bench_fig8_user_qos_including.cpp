@@ -2,7 +2,6 @@
 // at their origin-resource estimate), plus the without-federation
 // reference points the paper quotes for NASA iPSC / LANL Origin.
 
-#include "baselines/independent.hpp"
 #include "bench_common.hpp"
 
 int main() {
@@ -41,7 +40,8 @@ int main() {
 
   // Without-federation reference points (paper §3.7.3): the most popular
   // resources' local users fare *worse* inside the federation.
-  const auto indep = baselines::run_independent();
+  const auto indep = core::run_experiment(
+      core::make_config(core::SchedulingMode::kIndependent));
   const auto nasa = cluster::catalog_index("NASA iPSC");
   const auto origin = cluster::catalog_index("LANL Origin");
   const auto& oft100 = sweep.back();

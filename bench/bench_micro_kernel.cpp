@@ -6,14 +6,20 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "cluster/availability_profile.hpp"
 #include "cluster/catalog.hpp"
 #include "core/experiment.hpp"
+#include "core/federation.hpp"
 #include "directory/federation_directory.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "transport/message_arena.hpp"
 
 namespace {
 
@@ -166,6 +172,64 @@ BENCHMARK(BM_SimulationConstantDelayChain)
     ->ArgName("background")
     ->Arg(0)
     ->Arg(4096);
+
+// The auction's message path through a Federation: bursts of 256
+// batched kCallForBids (2 jobs each, about what an auction-direct flush
+// sends one provider) from 16 origins, all views of one arena.  Each
+// call is delivered to its provider, answered by
+// AuctionPolicy::on_call_for_bids with one batched kBid, and the answer
+// is delivered and dropped at on_bid (no book is open).  Items are the
+// wire messages delivered, two per call.  bench/README.md "Message
+// path" has the before/after ratio.
+void BM_FederationBidRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kSites = 16;
+  constexpr std::size_t kJobsPerCall = 2;
+  constexpr int kBurst = 256;
+  auto cfg = core::make_config(core::SchedulingMode::kAuction);
+  cfg.network_latency = 1.0;
+  const auto specs = cluster::replicated_specs(kSites);
+  core::Federation fed(cfg, specs);
+  core::GfaHost& host = fed;
+  std::vector<cluster::Job> jobs(kSites * kJobsPerCall);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = 1 + i;
+    jobs[i].origin = static_cast<cluster::ResourceIndex>(i / kJobsPerCall);
+    jobs[i].processors = 1;
+    jobs[i].length_mi = 1000.0;
+    jobs[i].budget = 1e9;
+    jobs[i].deadline = 1e9;
+  }
+  auto arena = std::make_shared<transport::MessageArena>();
+  std::vector<std::span<const cluster::Job>> calls;
+  for (std::size_t origin = 0; origin < kSites; ++origin) {
+    std::vector<const cluster::Job*> block;
+    for (std::size_t k = 0; k < kJobsPerCall; ++k) {
+      block.push_back(&jobs[origin * kJobsPerCall + k]);
+    }
+    calls.push_back(arena->append(block));
+  }
+  const transport::ArenaHandle handle = arena;
+  std::uint64_t sent = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kBurst; ++i, ++sent) {
+      const auto from = static_cast<cluster::ResourceIndex>(sent % kSites);
+      core::Message call;
+      call.type = core::MessageType::kCallForBids;
+      call.from = from;
+      call.to = static_cast<cluster::ResourceIndex>(
+          (from + 1 + sent / kSites % (kSites - 1)) % kSites);
+      call.batch_jobs = calls[from];
+      call.arena = handle;
+      call.job = call.batch_jobs.front();
+      host.send(std::move(call));
+    }
+    fed.simulation().run();
+    benchmark::DoNotOptimize(std::as_const(fed).ledger().total());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2 * kBurst);
+}
+BENCHMARK(BM_FederationBidRoundTrip);
 
 #if GRIDFED_TRACE
 // The observability overhead pair: dispatch with the probe slot present

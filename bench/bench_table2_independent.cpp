@@ -2,7 +2,6 @@
 // Experiment 1: every cluster schedules only its own trace; jobs whose
 // deadline the local LRMS cannot honour are rejected.
 
-#include "baselines/independent.hpp"
 #include "bench_common.hpp"
 
 int main() {
@@ -10,7 +9,8 @@ int main() {
   bench::banner("Table 2",
                 "Experiment 1 — independent resources (no federation)");
 
-  const auto result = baselines::run_independent();
+  const auto result = core::run_experiment(
+      core::make_config(core::SchedulingMode::kIndependent));
 
   stats::Table t({"Index", "Resource / Cluster Name",
                   "Avg Resource Utilization (%)", "Total Job",

@@ -2,7 +2,6 @@
 // Experiment 2: local-first scheduling with fastest-first overflow into
 // the federation; no economy.
 
-#include "baselines/no_economy.hpp"
 #include "bench_common.hpp"
 
 int main() {
@@ -11,7 +10,8 @@ int main() {
                 "Experiment 2 — federation without economy "
                 "(local first, then fastest-first overflow)");
 
-  const auto result = baselines::run_federation_no_economy();
+  const auto result = core::run_experiment(
+      core::make_config(core::SchedulingMode::kFederationNoEconomy));
 
   stats::Table t({"Index", "Resource / Cluster Name",
                   "Avg Resource Utilization (%)", "Total Job",

@@ -343,13 +343,13 @@ void Federation::sample_metrics() {
 }
 #endif
 
-void Federation::send(Message msg) {
+void Federation::send(Message&& msg) {
   GF_EXPECTS(msg.to < gfas_.size());
   transport_->unicast(std::move(msg));
 }
 
 std::uint64_t Federation::multicast(
-    Message msg, std::span<const cluster::ResourceIndex> targets,
+    Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   for (const cluster::ResourceIndex target : targets) {
     GF_EXPECTS(target < gfas_.size());
@@ -529,10 +529,12 @@ void Federation::job_rejected(const cluster::Job& job,
   outcomes_.push_back(std::move(outcome));
 }
 
-void Federation::post_delivery(Message msg, sim::SimTime delay) {
+void Federation::post_delivery(Message&& msg, sim::SimTime delay) {
   const std::uint32_t slot = delivery_slots_.park(std::move(msg));
-  sim_.schedule_in(delay, sim::EventPriority::kMessage,
-                   [this, slot] { deliver(delivery_slots_.take(slot)); });
+  sim_.schedule_in(delay, sim::EventPriority::kMessage, [this, slot] {
+    deliver(delivery_slots_[slot]);
+    delivery_slots_.release(slot);
+  });
 }
 
 FederationResult Federation::aggregate() const {

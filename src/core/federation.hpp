@@ -75,8 +75,8 @@ class Federation final : public GfaHost,
 
   // ---- GfaHost ----------------------------------------------------------
   /// Satisfies both GfaHost and MembershipContext.
-  void send(Message msg) override;
-  std::uint64_t multicast(Message msg,
+  void send(Message&& msg) override;
+  std::uint64_t multicast(Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
   /// Satisfies both GfaHost and TransportContext.
@@ -205,7 +205,7 @@ class Federation final : public GfaHost,
   void message_dropped() override { ++messages_dropped_; }
   [[nodiscard]] sim::Rng& drop_rng() override { return drop_rng_; }
   [[nodiscard]] sim::Rng& duplicate_rng() override { return dup_rng_; }
-  void post_delivery(Message msg, sim::SimTime delay) override;
+  void post_delivery(Message&& msg, sim::SimTime delay) override;
   /// Ground truth for the transports: a crashed site's edges are down.
   /// Left members stay reachable endpoints (their in-flight work drains
   /// gracefully); membership off degenerates to the base's constant true.

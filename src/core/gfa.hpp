@@ -54,16 +54,21 @@ class GfaHost {
   virtual ~GfaHost() = default;
 
   /// Routes a message to its destination GFA (records it in the message
-  /// ledger and applies the configured network latency).
-  virtual void send(Message msg) = 0;
+  /// ledger and applies the configured network latency).  `msg` is
+  /// moved along the transport into the slot it is delivered from; a
+  /// lost message is left as it was.  A sent message's vectors come back
+  /// empty, possibly holding a released slot's buffer for reuse
+  /// (core::MessageSlots::park).
+  virtual void send(Message&& msg) = 0;
 
   /// Routes one payload to every target through the configured
-  /// transport (msg.to is overwritten per target).  `not_after` bounds
-  /// any fan-out batching the transport applies.  Returns the wire
-  /// messages charged to the sender immediately (one per target on the
-  /// direct transport; 0 on the tree, whose shared edge messages land
-  /// in the ledger's relay counters).
-  virtual std::uint64_t multicast(Message msg,
+  /// transport (msg.to is overwritten per target and `msg` is
+  /// consumed).  `not_after` bounds any fan-out batching the transport
+  /// applies.  Returns the wire messages charged to the sender
+  /// immediately (one per target on the direct transport; 0 on the
+  /// tree, whose shared edge messages land in the ledger's relay
+  /// counters).
+  virtual std::uint64_t multicast(Message&& msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;
@@ -247,8 +252,8 @@ class Gfa final : public policy::SchedulerContext {
   [[nodiscard]] coalition::CoalitionManager* coalitions() override {
     return host_.coalitions();
   }
-  void send(Message msg) override { host_.send(std::move(msg)); }
-  std::uint64_t multicast(Message msg,
+  void send(Message&& msg) override { host_.send(std::move(msg)); }
+  std::uint64_t multicast(Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override {
     return host_.multicast(std::move(msg), targets, not_after);

@@ -44,8 +44,9 @@ class MembershipContext {
   [[nodiscard]] virtual sim::Simulation& sim() = 0;
   [[nodiscard]] virtual std::size_t sites() const = 0;
 
-  /// Sends one kGossip digest over the run's transport.
-  virtual void send(core::Message msg) = 0;
+  /// Sends one kGossip digest over the run's transport (moved along it,
+  /// as core::GfaHost::send).
+  virtual void send(core::Message&& msg) = 0;
 
   virtual void churn_join(cluster::ResourceIndex site) = 0;
   virtual void churn_leave(cluster::ResourceIndex site) = 0;

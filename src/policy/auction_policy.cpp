@@ -502,6 +502,8 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
     answer.from = ctx_.self();
     answer.to = msg.from;
     answer.job = msg.batch_jobs.front();
+    answer.batch_bids = std::move(answer_bids_);
+    answer.batch_bids.clear();  // a lost answer came back with its bids
     answer.batch_bids.reserve(msg.batch_jobs.size());
     for (const cluster::Job& job : msg.batch_jobs) {
       const market::Bid bid = participant_bid(job);
@@ -515,6 +517,7 @@ void AuctionPolicy::on_call_for_bids(const core::Message& msg) {
     GF_OBS(ctx_.observer(),
            count(obs::Counter::kBidsAnswered, msg.batch_jobs.size()));
     ctx_.send(std::move(answer));
+    answer_bids_ = std::move(answer.batch_bids);
     return;
   }
   const market::Bid bid = participant_bid(msg.job);

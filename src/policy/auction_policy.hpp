@@ -149,6 +149,11 @@ class AuctionPolicy final : public SchedulingPolicy {
   /// cluster index; kNoBucket between flushes.
   static constexpr std::uint32_t kNoBucket = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> provider_bucket_;
+  /// The buffer batched bid answers are written into.  Sending an answer
+  /// moves it into the delivery slot, and the slot hands back a
+  /// released one (core::MessageSlots::park), so steady-state answers
+  /// allocate nothing.
+  std::vector<core::BatchedBid> answer_bids_;
 };
 
 }  // namespace gridfed::policy

@@ -94,13 +94,15 @@ class SchedulerContext {
   virtual void reject(core::Pending p) = 0;
 
   // -- raw protocol services ----------------------------------------------
-  /// Routes one message through the host (ledger + latency applied).
-  virtual void send(core::Message msg) = 0;
+  /// Routes one message through the host (ledger + latency applied),
+  /// moving it toward its delivery slot; see core::GfaHost::send for
+  /// what is left in `msg` afterwards.
+  virtual void send(core::Message&& msg) = 0;
   /// Routes one payload to every target through the host's transport
   /// (msg.to overwritten per target; `not_after` bounds transport-level
   /// fan-out batching).  Returns the wire messages charged immediately —
   /// see core::GfaHost::multicast.
-  virtual std::uint64_t multicast(core::Message msg,
+  virtual std::uint64_t multicast(core::Message&& msg,
                                   std::span<const cluster::ResourceIndex>
                                       targets,
                                   sim::SimTime not_after) = 0;

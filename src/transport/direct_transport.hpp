@@ -17,9 +17,11 @@ class DirectTransport final : public Transport {
                   std::optional<network::LatencyModel> wan)
       : Transport(ctx, std::move(wan)) {}
 
-  void unicast(core::Message msg) override { direct_unicast(std::move(msg)); }
+  void unicast(core::Message&& msg) override {
+    direct_unicast(std::move(msg));
+  }
 
-  std::uint64_t multicast(core::Message msg,
+  std::uint64_t multicast(core::Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
 };

@@ -61,8 +61,10 @@ class TransportContext {
   [[nodiscard]] virtual sim::Rng& drop_rng() = 0;
   [[nodiscard]] virtual sim::Rng& duplicate_rng() = 0;
 
-  /// Schedules a delivery of `msg` `delay` seconds from now.
-  virtual void post_delivery(core::Message msg, sim::SimTime delay) = 0;
+  /// Schedules a delivery of `msg` `delay` seconds from now.  `msg` is
+  /// moved into a pooled slot once; deliver() reads it there in place
+  /// and the slot is released after the handler returns.
+  virtual void post_delivery(core::Message&& msg, sim::SimTime delay) = 0;
 
   /// The observability umbrella, or null when disabled (GF_OBS sites
   /// branch on it; overlay records land on the tracer's transport track).
@@ -89,18 +91,20 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Delivers one point-to-point message (ledger + loss lottery +
-  /// latency applied).
-  virtual void unicast(core::Message msg) = 0;
+  /// latency applied).  `msg` is moved into its delivery slot, or into
+  /// the transport's own queue; a lost message is left as it was.
+  virtual void unicast(core::Message&& msg) = 0;
 
   /// Delivers one payload to every target in `targets` (msg.to is
-  /// overwritten per target).  `not_after` bounds any delivery batching
-  /// the transport applies (TreeTransport's fan-out epoch); kDirect
-  /// sends immediately and ignores it.  Returns the wire messages
-  /// charged to the caller immediately — one per target for kDirect,
-  /// 0 for kTree, whose shared edge messages land in the ledger's relay
-  /// counters instead — so per-job message attribution stays honest.
+  /// overwritten per target and `msg` is consumed).  `not_after` bounds
+  /// any delivery batching the transport applies (TreeTransport's
+  /// fan-out epoch); kDirect sends immediately and ignores it.  Returns
+  /// the wire messages charged to the caller immediately — one per
+  /// target for kDirect, 0 for kTree, whose shared edge messages land in
+  /// the ledger's relay counters instead — so per-job message
+  /// attribution stays honest.
   virtual std::uint64_t multicast(
-      core::Message msg, std::span<const cluster::ResourceIndex> targets,
+      core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
       sim::SimTime not_after) = 0;
 
   /// The WAN model of this run (null under the paper's constant-latency
@@ -192,14 +196,12 @@ class Transport {
   /// job payload, Eq. 1's data volume over the bottleneck access link.
   [[nodiscard]] sim::SimTime delay_for(const core::Message& msg) const;
 
-  /// Schedules `msg` to arrive at its destination after `delay`.
-  void schedule_delivery(core::Message msg, sim::SimTime delay);
-
   /// The seed's point-to-point path: record, loss lottery, latency,
-  /// deliver — plus the duplication lottery on the idempotent legs.
+  /// deliver — plus the duplication lottery on the idempotent legs (the
+  /// duplicate is a copy; `msg` itself is moved into its slot).
   /// DirectTransport is exactly this; TreeTransport uses it for every
   /// leg it does not carry over the overlay.
-  void direct_unicast(core::Message msg);
+  void direct_unicast(core::Message&& msg);
 
   /// The multicast half of group addressing: maps each target to its
   /// participant's representative and dedups (first-seen order kept, so

@@ -179,7 +179,7 @@ void TreeTransport::on_member_joined(cluster::ResourceIndex index) {
   }
 }
 
-void TreeTransport::unicast(core::Message msg) {
+void TreeTransport::unicast(core::Message&& msg) {
   switch (msg.type) {
     case core::MessageType::kBid: {
       convergecast_queue_.push_back(std::move(msg));
@@ -201,7 +201,7 @@ void TreeTransport::unicast(core::Message msg) {
 }
 
 std::uint64_t TreeTransport::multicast(
-    core::Message msg, std::span<const cluster::ResourceIndex> targets,
+    core::Message&& msg, std::span<const cluster::ResourceIndex> targets,
     sim::SimTime not_after) {
   // Group-addressed dissemination: a coalition costs one delivery to
   // its representative — the fan-out behind it rides the coalition
@@ -649,9 +649,9 @@ void TreeTransport::relay(std::span<const RelayItem> items,
         }
         ctx_.ledger().record_relay(hop_from, item.target, type, dup_bytes);
       }
-      schedule_delivery(out, delay);
+      ctx_.post_delivery(core::Message(out), delay);
     }
-    schedule_delivery(std::move(out), delay);
+    ctx_.post_delivery(std::move(out), delay);
   }
 }
 

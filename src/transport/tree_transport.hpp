@@ -56,12 +56,12 @@ class TreeTransport final : public Transport {
   /// point-to-point.  (The call-for-bids fan-out always arrives through
   /// multicast() — both the batched flush and the per-job broadcast —
   /// so a unicast kCallForBids would simply be delivered directly.)
-  void unicast(core::Message msg) override;
+  void unicast(core::Message&& msg) override;
 
   /// Queues the fan-out for the next epoch boundary (never past
   /// `not_after`).  Returns 0: the shared edge messages land in the
   /// ledger's relay counters at flush time.
-  std::uint64_t multicast(core::Message msg,
+  std::uint64_t multicast(core::Message&& msg,
                           std::span<const cluster::ResourceIndex> targets,
                           sim::SimTime not_after) override;
 

@@ -1,30 +1,19 @@
-// Tests for the baseline schedulers: Experiment 1/2 wrappers and the
-// broadcast (NASA-superscheduler) algorithms.
+// Tests for the baseline schedulers: Experiment 2 against Experiment 1 and
+// the broadcast (NASA-superscheduler) algorithms.
 
 #include <gtest/gtest.h>
 
 #include "baselines/broadcast.hpp"
-#include "baselines/independent.hpp"
-#include "baselines/no_economy.hpp"
 #include "core/experiment.hpp"
 
 namespace gridfed::baselines {
 namespace {
 
-TEST(IndependentBaseline, MatchesCoreDriver) {
-  const auto a = run_independent();
-  const auto b = core::run_experiment(
-      core::make_config(core::SchedulingMode::kIndependent));
-  ASSERT_EQ(a.resources.size(), b.resources.size());
-  for (std::size_t i = 0; i < a.resources.size(); ++i) {
-    EXPECT_EQ(a.resources[i].accepted, b.resources[i].accepted);
-    EXPECT_DOUBLE_EQ(a.resources[i].utilization, b.resources[i].utilization);
-  }
-}
-
 TEST(NoEconomyBaseline, ImprovesOnIndependent) {
-  const auto indep = run_independent();
-  const auto fed = run_federation_no_economy();
+  const auto indep = core::run_experiment(
+      core::make_config(core::SchedulingMode::kIndependent));
+  const auto fed = core::run_experiment(
+      core::make_config(core::SchedulingMode::kFederationNoEconomy));
   EXPECT_GT(fed.acceptance_pct(), indep.acceptance_pct());
 }
 
